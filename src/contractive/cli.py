@@ -84,6 +84,11 @@ def _complex_list(text: str) -> list[complex]:
         raise argparse.ArgumentTypeError(f"invalid complex list {text!r}") from None
 
 
+# JSON types accepted for each RunConfig field in a config file.
+_CONFIG_TYPES = {"dim": int, "seed": int, "hbar": (int, float),
+                 "mass": (int, float), "omega": (int, float), "format": str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved runtime settings shared by the subcommands."""
@@ -98,9 +103,16 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path) as fh:
-            data = json.load(fh)
-        known = {k: data[k] for k in
-                 ("dim", "seed", "hbar", "mass", "omega", "format") if k in data}
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise InvalidParameterError(f"config {path} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidParameterError(f"config {path} is not a JSON object")
+        known = {k: data[k] for k in _CONFIG_TYPES if k in data}
+        for name, value in known.items():
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[name]):
+                raise InvalidParameterError(f"config {path}: invalid {name} {value!r}")
         return cls(**known)
 
 
@@ -108,8 +120,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     env_dim = os.environ.get(ENV_DIM)
     if env_dim is not None:
-        config = replace(config, dim=int(env_dim))
-    for name in ("dim", "seed", "hbar", "mass", "omega", "format"):
+        try:
+            config = replace(config, dim=int(env_dim))
+        except ValueError:
+            raise InvalidParameterError(f"{ENV_DIM} must be an integer, got {env_dim!r}") from None
+    for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             config = replace(config, **{name: value})

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
+    InvalidSpecError,
     OutOfRangeError,
     TrivialStateError,
     TruncationError,
@@ -45,6 +46,8 @@ class FockVector:
             raise InvalidDimensionError(f"amplitudes must be 1-D, got shape {arr.shape}")
         if arr.size < 2:
             raise InvalidDimensionError(f"dim must be >= 2, got {arr.size}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidSpecError("amplitudes must be finite (no NaN or inf)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
@@ -88,9 +91,14 @@ class FockVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockVector":
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        try:
+            dim = int(data["dim"])
+            re = np.asarray(data["re"], dtype=float)
+            im = np.asarray(data["im"], dtype=float)
+        except KeyError as exc:
+            raise InvalidSpecError(f"state file lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"malformed state file: {exc}") from None
         if re.size != dim or im.size != dim:
             raise DimensionMismatchError(
                 f"array lengths {re.size}/{im.size} do not match dim {dim}"
@@ -105,7 +113,11 @@ class FockVector:
     @classmethod
     def load(cls, path) -> "FockVector":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise InvalidSpecError(f"{path} is not a JSON state file: {exc}") from None
+        return cls.from_json_dict(data)
 
 
 @dataclass(frozen=True)
@@ -131,16 +143,6 @@ def destroy(dim: int) -> OperatorMatrix:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def create(dim: int) -> OperatorMatrix:
-    return destroy(dim).conj().T
-
-
-def number(dim: int) -> OperatorMatrix:
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 @functools.lru_cache(maxsize=16)

@@ -108,6 +108,11 @@ def ladder_moments(state: FockVector) -> tuple[complex, complex]:
     return complex(first), complex(second)
 
 
+def mean_photon_number(state: FockVector) -> float:
+    """<a^dag a> = sum_m m |c_m|^2 of a normalized state."""
+    return float(np.sum(np.arange(state.dim) * np.abs(state.amps) ** 2))
+
+
 def check_phi(state: FockVector, tol: float = SEED_RESIDUAL_TOL) -> SeedCheck:
     """Test the vanishing ladder-moment conditions on a normalized state."""
     first, second = ladder_moments(state.normalized())
@@ -150,8 +155,7 @@ def _finish(amps: np.ndarray, dim: int | None) -> PhiState:
             complex(abs(first) + abs(second)),
             "solution residuals too large; system is numerically degenerate",
         )
-    n_bar = float(np.sum(np.arange(state.dim) * np.abs(state.amps) ** 2))
-    return PhiState(state=state, n_bar=n_bar)
+    return PhiState(state=state, n_bar=mean_photon_number(state))
 
 
 def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
@@ -170,14 +174,8 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
         [c[n + 2] * np.sqrt((n + 1.0) * (n + 2.0)),
          np.conjugate(c[N - 2]) * np.sqrt((N - 1.0) * float(N))],
     ])
-    # Interior-only contributions to <a> and <a^2>; empty ranges sum to zero.
-    ms = np.arange(n + 1, N - 1)
-    rhs0 = np.sum(np.conjugate(c[ms]) * c[ms + 1] * np.sqrt(ms + 1.0)) if ms.size else 0.0
-    ms2 = np.arange(n + 1, N - 2)
-    rhs1 = np.sum(
-        np.conjugate(c[ms2]) * c[ms2 + 2] * np.sqrt((ms2 + 1.0) * (ms2 + 2.0))
-    ) if ms2.size else 0.0
-    rhs = -np.array([rhs0, rhs1], dtype=complex)
+    # Interior-only contributions to <a> and <a^2>: c_n and c_N are still zero.
+    rhs = -np.array(ladder_moments(FockVector(c)), dtype=complex)
 
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     scale = np.max(np.abs(mat))
@@ -235,8 +233,7 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
     amps = np.zeros(dim if dim is not None else size, dtype=complex)
     amps[0:top + 1:3] = np.sqrt(w / total)
     state = FockVector(amps)
-    n_bar = float(np.sum(np.arange(state.dim) * np.abs(state.amps) ** 2))
-    return PhiState(state=state, n_bar=n_bar)
+    return PhiState(state=state, n_bar=mean_photon_number(state))
 
 
 def lattice_phi_for_nbar(target: float, shells: int,

@@ -3,25 +3,20 @@
 Covariance is always the symmetrized second moment
 cov = <x p + p x> - 2 <x><p>, the quantity that controls how the position
 variance of a freely evolving packet initially grows or shrinks.
+
+All moments come from the ladder index sums <a>, <a^2> and n_bar = <a^dag a>:
+<x> = sqrt(2) Re<a>, <p> = sqrt(2) Im<a>, <x^2> = n_bar + 1/2 + Re<a^2>,
+<p^2> = n_bar + 1/2 - Re<a^2> and <x p + p x> = 2 Im<a^2>.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .fock import (
-    HERMITIAN_IMAG_TOL,
-    TAIL_MASS_TOL,
-    FockVector,
-    build_operators,
-    ensure_resolved,
-    expect_hermitian,
-)
+from .fock import TAIL_MASS_TOL, FockVector, ensure_resolved
+from .gcs import ladder_moments, mean_photon_number
 from .states import SqueezeParams
 
 # Flags in classify() use this tolerance on variance/covariance comparisons.
@@ -87,37 +82,20 @@ class StateClass:
         }
 
 
-@functools.lru_cache(maxsize=16)
-def _second_moment_ops(dim: int):
-    """Cached x^2, p^2, xp+px, a^dag a for a given truncation."""
-    ops = build_operators(dim)
-    x, p = ops.x, ops.p
-    mats = (x @ x, p @ p, x @ p + p @ x, ops.adag @ ops.a)
-    for m in mats:
-        m.flags.writeable = False
-    return mats
-
-
-def summarize(state: FockVector, tail_tol: float = TAIL_MASS_TOL,
-              imag_tol: float = HERMITIAN_IMAG_TOL) -> MomentSummary:
+def summarize(state: FockVector, tail_tol: float = TAIL_MASS_TOL) -> MomentSummary:
     """Means-subtracted quadrature moments of a tail-safe state."""
     ensure_resolved(state, tail_tol)
     state = state.normalized()
-    ops = build_operators(state.dim)
-    x2, p2, xp, num = _second_moment_ops(state.dim)
+    first, second = ladder_moments(state)
+    n_bar = mean_photon_number(state)
 
-    mean_x = expect_hermitian(state, ops.x, imag_tol)
-    mean_p = expect_hermitian(state, ops.p, imag_tol)
-    xx = expect_hermitian(state, x2, imag_tol)
-    pp = expect_hermitian(state, p2, imag_tol)
-    xp_sym = expect_hermitian(state, xp, imag_tol)
-    n_bar = expect_hermitian(state, num, imag_tol)
-
+    mean_x = math.sqrt(2.0) * first.real
+    mean_p = math.sqrt(2.0) * first.imag
     return MomentSummary(
-        var_x=xx - mean_x**2,
-        var_p=pp - mean_p**2,
-        cov=xp_sym - 2.0 * mean_x * mean_p,
-        n_bar=max(n_bar, 0.0),
+        var_x=n_bar + 0.5 + second.real - mean_x**2,
+        var_p=n_bar + 0.5 - second.real - mean_p**2,
+        cov=2.0 * second.imag - 2.0 * mean_x * mean_p,
+        n_bar=n_bar,
     )
 
 

@@ -53,6 +53,29 @@ def ladder_moments_direct(amps: np.ndarray):
     return complex(a1) / norm2, complex(a2) / norm2
 
 
+def dense_moments_oracle(amps: np.ndarray):
+    """(var_x, var_p, cov, n_bar) from dense ladder matrices.
+
+    The state is padded by one level so that a^dag of the top level is kept
+    and the dense products give the untruncated moments.
+    """
+    psi = np.zeros(amps.size + 1, dtype=complex)
+    psi[:-1] = amps / np.linalg.norm(amps)
+    a = np.diag(np.sqrt(np.arange(1, psi.size, dtype=float)), k=1).astype(complex)
+    adag = a.conj().T
+    x = (a + adag) / math.sqrt(2.0)
+    p = (a - adag) / (1j * math.sqrt(2.0))
+    x_psi, p_psi = x @ psi, p @ psi
+    mean_x = np.vdot(psi, x_psi).real
+    mean_p = np.vdot(psi, p_psi).real
+    var_x = np.vdot(x_psi, x_psi).real - mean_x**2
+    var_p = np.vdot(p_psi, p_psi).real - mean_p**2
+    cov = 2.0 * np.vdot(x_psi, p_psi).real - 2.0 * mean_x * mean_p
+    a_psi = a @ psi
+    n_bar = np.vdot(a_psi, a_psi).real
+    return var_x, var_p, cov, n_bar
+
+
 # ---------------------------------------------------------------------------
 # Acceptance reporting: one PASS/FAIL line per criterion in the terminal
 # summary, keyed off test names in test_acceptance.py.

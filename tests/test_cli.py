@@ -352,3 +352,64 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_bar"] == 0.0
+
+
+def _assert_usage_error(code, err):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("key", ["dim", "re", "im"])
+def test_state_file_missing_key(tmp_path, capsys, key):
+    data = number_state(0, 16).to_json_dict()
+    del data[key]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "state", "moments", str(path))
+    _assert_usage_error(code, err)
+    assert repr(key) in err
+
+
+def test_state_file_not_json(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("dim: 16\n")
+    code, _, err = run_cli(capsys, "state", "moments", str(path))
+    _assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_file_non_finite_amplitude(tmp_path, capsys, bad):
+    data = number_state(0, 16).to_json_dict()
+    data["re"][1] = bad  # json writes the NaN / Infinity tokens
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "state", "moments", str(path))
+    _assert_usage_error(code, err)
+    assert "finite" in err
+
+
+def test_env_dim_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CONTRACTIVE_DIM", "abc")
+    code, _, err = run_cli(capsys, "state", "build", "number")
+    _assert_usage_error(code, err)
+    assert "CONTRACTIVE_DIM" in err
+
+
+def test_config_file_not_json(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text("dim = 32\n")
+    code, _, err = run_cli(
+        capsys, "state", "build", "number", "--config", str(config_file)
+    )
+    _assert_usage_error(code, err)
+
+
+def test_config_file_wrong_type(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"dim": "x"}))
+    code, _, err = run_cli(
+        capsys, "state", "build", "number", "--config", str(config_file)
+    )
+    _assert_usage_error(code, err)
+    assert "dim" in err

@@ -22,7 +22,7 @@ from contractive import (
     summarize,
 )
 
-from conftest import coherent_amps
+from conftest import coherent_amps, dense_moments_oracle
 
 
 def test_vacuum_summary():
@@ -168,3 +168,27 @@ def test_scs_summary_matches_scs_prediction():
     assert abs(got.var_x - want.var_x) < 1e-8
     assert abs(got.var_p - want.var_p) < 1e-8
     assert abs(got.cov - want.cov) < 1e-8
+
+
+def _assert_matches_dense_oracle(state):
+    got = summarize(state)
+    want = dense_moments_oracle(state.amps)
+    for g, w in zip((got.var_x, got.var_p, got.cov, got.n_bar), want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+@pytest.mark.parametrize("dim", [16, 64, 256, 1024])
+def test_summarize_matches_dense_oracle_random(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(8):
+        _assert_matches_dense_oracle(random_state(dim, rng))
+
+
+def test_summarize_matches_dense_oracle_scs():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        params = SqueezeParams(
+            r=rng.uniform(0.0, 1.0), theta=rng.uniform(0, 2 * math.pi)
+        )
+        alpha = complex(rng.normal(), rng.normal())
+        _assert_matches_dense_oracle(make_scs(alpha, params, dim=192))

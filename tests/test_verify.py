@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from contractive import (
     InvalidDimensionError,
@@ -20,7 +22,12 @@ from contractive import (
     run_suite,
     safe_block,
 )
-from contractive.verify import choose_radius, displaced_block, radius_cap
+from contractive.verify import (
+    _radial_marginal,
+    choose_radius,
+    displaced_block,
+    radius_cap,
+)
 
 from conftest import coherent_amps
 
@@ -110,6 +117,33 @@ def test_displaced_block_zero_alpha():
     want = np.zeros(6, dtype=complex)
     want[3] = 1.0
     assert np.max(np.abs(block[:, 0] - want)) < 1e-14
+
+
+def test_displaced_block_stable_at_radius_cap():
+    # probe_dim = dim/4 at the largest radii radius_cap allows, against a
+    # sparse Krylov exponential at a cutoff far beyond the displaced support
+    dim, probe, big = 128, 32, 1024
+    rng = np.random.default_rng(3)
+    chi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    chi /= np.linalg.norm(chi)
+    n_bar = float(np.sum(np.arange(dim) * np.abs(chi) ** 2))
+    cap = radius_cap(probe, n_bar, 0.0)
+    a = sp.diags(np.sqrt(np.arange(1, big)), 1, format="csr", dtype=complex)
+    padded = np.zeros(big, dtype=complex)
+    padded[:dim] = chi
+    for frac in (0.5, 0.8, 1.0):
+        alpha = frac * cap * np.exp(0.7j)
+        want = expm_multiply(alpha * a.conj().T - np.conj(alpha) * a, padded)
+        got = displaced_block(chi, np.array([alpha]), probe)[:, 0]
+        assert np.max(np.abs(got - want[:probe])) < 1e-13
+
+
+def test_radial_marginal_at_zero_radius():
+    # D(0) = I, so the probe-row masses at rho = 0 are |chi_j|^2
+    chi = np.zeros(16, dtype=complex)
+    chi[[0, 3, 6]] = np.sqrt([0.5, 0.3, 0.2]) * np.exp(1j * np.array([0.0, 1.0, 2.0]))
+    got = _radial_marginal(chi, np.array([0.0]), 6)[:, 0]
+    assert np.max(np.abs(got - np.abs(chi[:6]) ** 2)) < 1e-15
 
 
 def test_choose_radius_tighter_than_cap():
