@@ -87,6 +87,7 @@ def _complex_list(text: str) -> list[complex]:
 # JSON types accepted for each RunConfig field in a config file.
 _CONFIG_TYPES = {"dim": int, "seed": int, "hbar": (int, float),
                  "mass": (int, float), "omega": (int, float), "format": str}
+_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ class RunConfig:
             raise InvalidParameterError(f"config {path} is not a JSON object")
         known = {k: data[k] for k in _CONFIG_TYPES if k in data}
         for name, value in known.items():
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[name]):
+            if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[name])
+                    or name == "format" and value not in _FORMATS):
                 raise InvalidParameterError(f"config {path}: invalid {name} {value!r}")
         return cls(**known)
 
@@ -349,7 +351,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hbar", type=float)
     parser.add_argument("--mass", type=float)
     parser.add_argument("--omega", type=float)
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=_FORMATS)
 
 
 def _add_band_spec_args(parser: argparse.ArgumentParser) -> None:

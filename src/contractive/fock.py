@@ -166,20 +166,16 @@ def number_state(n: int, dim: int) -> FockVector:
     return FockVector(amps)
 
 
-def random_state(dim: int, rng: np.random.Generator, occupied: int | None = None) -> FockVector:
+def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     """Random normalized state with a Gaussian amplitude envelope.
 
     The envelope keeps the top decile of the ladder essentially empty so the
-    state is safe against truncation artifacts. `occupied` sets the scale of
-    the populated band (default dim // 5).
+    state is safe against truncation artifacts: the populated band has scale
+    max(2, dim // 5).
     """
-    if occupied is None:
-        occupied = max(2, dim // 5)
-    m = np.arange(dim)
-    envelope = np.exp(-((m / occupied) ** 2))
+    envelope = np.exp(-((np.arange(dim) / max(2, dim // 5)) ** 2))
     amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * envelope
-    vec = FockVector(amps)
-    return vec.normalized()
+    return FockVector(amps).normalized()
 
 
 def expect(state: FockVector, op: OperatorMatrix) -> complex:
@@ -208,8 +204,8 @@ def cutoff_report(state: FockVector) -> CutoffReport:
     return CutoffReport(tail_mass=state.tail_mass(), dim=state.dim)
 
 
-def ensure_resolved(state: FockVector, threshold: float = TAIL_MASS_TOL) -> None:
-    """Raise TruncationError if the state is under-resolved at its cutoff."""
+def ensure_resolved(state: FockVector) -> None:
+    """Raise TruncationError if the state's tail mass reaches TAIL_MASS_TOL."""
     tail = state.tail_mass()
-    if not tail < threshold:
-        raise TruncationError(tail, threshold, state.dim)
+    if not tail < TAIL_MASS_TOL:
+        raise TruncationError(tail, TAIL_MASS_TOL, state.dim)

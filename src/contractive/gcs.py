@@ -72,13 +72,23 @@ class PhiSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhiSpec":
-        free = tuple(complex(re, im) for re, im in data["free"])
-        return cls(n=int(data["n"]), N=int(data["N"]), free=free)
+        try:
+            free = tuple(complex(re, im) for re, im in data["free"])
+            n, N = int(data["n"]), int(data["N"])
+        except KeyError as exc:
+            raise InvalidSpecError(f"band spec lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"malformed band spec: {exc}") from None
+        return cls(n=n, N=N, free=free)
 
     @classmethod
     def load(cls, path) -> "PhiSpec":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise InvalidSpecError(f"{path} is not a JSON band spec: {exc}") from None
+        return cls.from_json_dict(data)
 
 
 @dataclass(frozen=True)
@@ -113,17 +123,17 @@ def mean_photon_number(state: FockVector) -> float:
     return float(np.sum(np.arange(state.dim) * np.abs(state.amps) ** 2))
 
 
-def check_phi(state: FockVector, tol: float = SEED_RESIDUAL_TOL) -> SeedCheck:
+def check_phi(state: FockVector) -> SeedCheck:
     """Test the vanishing ladder-moment conditions on a normalized state."""
     first, second = ladder_moments(state.normalized())
     ra, ra2 = abs(first), abs(second)
-    return SeedCheck(ok=(ra < tol and ra2 < tol), residual_a=ra, residual_a2=ra2)
+    return SeedCheck(ok=max(ra, ra2) < SEED_RESIDUAL_TOL, residual_a=ra, residual_a2=ra2)
 
 
-def require_seed(state: FockVector, tol: float = SEED_RESIDUAL_TOL) -> None:
-    result = check_phi(state, tol)
+def require_seed(state: FockVector) -> None:
+    result = check_phi(state)
     if not result.ok:
-        raise SeedConditionError(result.residual_a, result.residual_a2, tol)
+        raise SeedConditionError(result.residual_a, result.residual_a2, SEED_RESIDUAL_TOL)
 
 
 def _fix_phase(amps: np.ndarray) -> np.ndarray:
@@ -237,9 +247,8 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
 
 
 def lattice_phi_for_nbar(target: float, shells: int,
-                         dim: int | None = None,
-                         tol: float = 1e-9) -> PhiState:
-    """Lattice seed with mean photon number tuned to a target.
+                         dim: int | None = None) -> PhiState:
+    """Lattice seed with mean photon number tuned to a target (within 1e-9).
 
     Bisects the mixing parameter q in weights (1-q, 0, .., 0, q), for which
     n_bar(q) = 3 * shells * q is monotone. Target must lie in [0, 3*shells].
@@ -262,7 +271,7 @@ def lattice_phi_for_nbar(target: float, shells: int,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         got = build(mid).n_bar
-        if abs(got - target) < tol:
+        if abs(got - target) < 1e-9:
             return build(mid)
         if got < target:
             lo = mid

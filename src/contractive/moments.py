@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .fock import TAIL_MASS_TOL, FockVector, ensure_resolved
+from .fock import FockVector, ensure_resolved
 from .gcs import ladder_moments, mean_photon_number
 from .states import SqueezeParams
 
@@ -82,9 +82,9 @@ class StateClass:
         }
 
 
-def summarize(state: FockVector, tail_tol: float = TAIL_MASS_TOL) -> MomentSummary:
+def summarize(state: FockVector) -> MomentSummary:
     """Means-subtracted quadrature moments of a tail-safe state."""
-    ensure_resolved(state, tail_tol)
+    ensure_resolved(state)
     state = state.normalized()
     first, second = ladder_moments(state)
     n_bar = mean_photon_number(state)
@@ -99,8 +99,9 @@ def summarize(state: FockVector, tail_tol: float = TAIL_MASS_TOL) -> MomentSumma
     )
 
 
-def classify(summary: MomentSummary, tol: float = CLASSIFY_TOL) -> StateClass:
+def classify(summary: MomentSummary) -> StateClass:
     """Flag squeezing, contractivity, balanced-moment (GCS) form, extremality."""
+    tol = CLASSIFY_TOL
     saturation = 4.0 * summary.var_x * summary.var_p - 1.0
     return StateClass(
         is_squeezed=summary.var_x < summary.var_p - tol,

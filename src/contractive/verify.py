@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidParameterError
-from .fock import FockVector, build_operators, ensure_resolved, random_state
+from .fock import FockVector, build_operators, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
 from .states import SqueezeParams, displacement_operator, make_scs, squeeze, squeeze_operator
@@ -161,13 +161,13 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
     )
 
 
-def audit_extremal(state: FockVector, tol: float = 1e-7) -> ExtremalAudit:
+def audit_extremal(state: FockVector) -> ExtremalAudit:
     """Fit lambda from the state's moments and measure the eigen-defect.
 
     residual = ||(Delta p - i lambda Delta x)|psi>|| / |lambda|. States that
     saturate the uncertainty relation have residual at rounding level; any
     non-Gaussian state scores order one. cov_sign_consistent checks
-    cov = -sgn(Im lambda) sqrt(4 var_x var_p - 1) within tol.
+    cov = -sgn(Im lambda) sqrt(4 var_x var_p - 1) within 1e-7.
     """
     summary = summarize(state)
     lam = lambda_from_moments(summary)
@@ -186,7 +186,7 @@ def audit_extremal(state: FockVector, tol: float = 1e-7) -> ExtremalAudit:
     residual = float(np.linalg.norm(shifted - mean * psi)) / abs(lam)
     root = math.sqrt(max(4.0 * summary.var_x * summary.var_p - 1.0, 0.0))
     expected = -math.copysign(root, lam.imag) if lam.imag != 0 else 0.0
-    consistent = abs(summary.cov - expected) < tol * max(1.0, abs(summary.cov))
+    consistent = abs(summary.cov - expected) < 1e-7 * max(1.0, abs(summary.cov))
     return ExtremalAudit(
         lambda_fit=lam, residual=residual, cov_sign_consistent=consistent
     )
@@ -247,9 +247,7 @@ def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.n
 
 
 def _seed_to_chi(phi: FockVector, params: SqueezeParams, dim: int) -> FockVector:
-    chi = squeeze(phi.normalized().padded(dim), params)
-    ensure_resolved(chi)
-    return chi
+    return squeeze(phi.normalized().padded(dim), params)
 
 
 def radius_cap(probe_dim: int, n_bar: float, r: float) -> float:
@@ -295,8 +293,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
                            seed: int = 0,
                            dim: int | None = None,
                            radius: float | None = None,
-                           target: float = OVERCOMPLETENESS_TARGET,
-                           chunk: int = 200_000) -> OvercompletenessReport:
+                           target: float = OVERCOMPLETENESS_TARGET
+                           ) -> OvercompletenessReport:
     """Estimate || (1/pi) integral d^2alpha |psi_alpha><psi_alpha| - 1 || on
     the probe block, for psi_alpha = D(alpha) S(xi) |phi>.
 
@@ -336,7 +334,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         rng = np.random.default_rng(seed)
         remaining = budget
         while remaining > 0:
-            size = min(chunk, remaining)
+            size = min(200_000, remaining)
             remaining -= size
             rho = radius * np.sqrt(rng.random(size))
             ang = 2.0 * np.pi * rng.random(size)
@@ -506,9 +504,9 @@ SUITES = {
 def run_suite(name: str, budget: int, seed: int) -> dict:
     """Run one named suite, or all of them, returning a JSON-ready report."""
     if name == "all":
-        # Saturation builds a dense squeezed state per draw and rql runs two
-        # propagations per state; keep their state counts moderate when
-        # sharing one budget figure.
+        # Saturation builds and audits a squeezed coherent state per draw
+        # and rql runs two propagations per state; keep their state counts
+        # moderate when sharing one budget figure.
         checks = [
             suite_uncertainty(min(budget, 500), seed),
             suite_rql(min(budget, 200), seed),

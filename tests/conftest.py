@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 
 @pytest.fixture
@@ -74,6 +75,24 @@ def dense_moments_oracle(amps: np.ndarray):
     a_psi = a @ psi
     n_bar = np.vdot(a_psi, a_psi).real
     return var_x, var_p, cov, n_bar
+
+
+def _dense_ladder(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def dense_displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
+    """expm(alpha a^dag - alpha* a) @ amps with dense truncated ladder matrices."""
+    a = _dense_ladder(amps.size)
+    return expm(alpha * a.conj().T - np.conjugate(alpha) * a) @ amps
+
+
+def dense_squeeze(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
+    """expm((xi* a^2 - xi a^dag^2)/2) @ amps, xi = r e^{i theta}, dense."""
+    a = _dense_ladder(amps.size)
+    a2 = a @ a
+    xi = r * np.exp(1j * theta)
+    return expm(0.5 * (np.conjugate(xi) * a2 - xi * a2.conj().T)) @ amps
 
 
 # ---------------------------------------------------------------------------

@@ -413,3 +413,41 @@ def test_config_file_wrong_type(tmp_path, capsys):
     )
     _assert_usage_error(code, err)
     assert "dim" in err
+
+
+@pytest.mark.parametrize("text", [
+    "n: 1\n",                                          # not JSON
+    json.dumps({"n": 1}),                              # no "free", "N"
+    json.dumps({"n": 0, "N": 3, "free": [[1.0], [0.5, 0.0]]}),    # short pair
+    json.dumps({"n": 0, "N": 3, "free": [["a", 0.0], [0.5, 0.0]]}),  # text
+    json.dumps({"n": "low", "N": 3, "free": [[1.0, 0.0], [0.5, 0.0]]}),
+    json.dumps([0, 3]),                                # not an object
+])
+def test_band_spec_file_malformed(tmp_path, capsys, text):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    code, _, err = run_cli(capsys, "gcs", "solve", "--band-spec", str(spec_file))
+    _assert_usage_error(code, err)
+
+
+def test_config_file_unknown_format(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"format": "xml"}))
+    code, out, err = run_cli(
+        capsys, "state", "build", "number", "--config", str(config_file)
+    )
+    _assert_usage_error(code, err)
+    assert "format" in err and out == ""
+
+
+def test_sgcs_seed_file_with_tiny_amplitudes(tmp_path, capsys):
+    amps = np.zeros(16, dtype=complex)
+    amps[[0, 3]] = 1e-15
+    phi_file = tmp_path / "tiny.json"
+    FockVector(amps).dump(phi_file)
+    code, out, _ = run_cli(
+        capsys, "state", "build", "sgcs", "--phi", str(phi_file),
+        "--alpha", "0.3", "--r", "0.2",
+    )
+    assert code == 0
+    assert json.loads(out)["n_bar"] > 0

@@ -1,0 +1,144 @@
+"""The matrix-free displacement/squeeze kernel against the dense oracle.
+
+`displace` and `squeeze` apply exp(generator) to the vector; the dense
+truncated unitaries in conftest are the reference they must reproduce.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import contractive.states as states_module
+from contractive import (
+    FockVector,
+    InvalidDimensionError,
+    SqueezeParams,
+    TruncationError,
+    displace,
+    displacement_operator,
+    lattice_phi,
+    make_scs,
+    make_sgcs,
+    number_state,
+    squeeze,
+    squeeze_operator,
+)
+
+from conftest import dense_displace, dense_squeeze, squeezed_vacuum_amps
+
+KERNEL_TOL = 1e-12
+
+
+def _narrow_random_state(dim: int, seed: int) -> FockVector:
+    """Random amplitudes under a Gaussian envelope of a few levels, so the
+    state and its images under |alpha| <= 1.5, r <= 1 fit dims >= 64."""
+    rng = np.random.default_rng(seed)
+    m = np.arange(dim)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return FockVector(amps * np.exp(-((m / 3.0) ** 2))).normalized()
+
+
+def _check_against_oracle(kernel, oracle, state: FockVector) -> None:
+    want = oracle(state.amps)
+    try:
+        got = kernel(state)
+    except TruncationError:
+        # the kernel may only refuse what the exact image leaves unresolved
+        assert FockVector(want).tail_mass() > 0.5e-8
+        return
+    assert np.max(np.abs(got.amps - want)) <= KERNEL_TOL
+
+
+@given(
+    dim=st.sampled_from([64, 128, 256, 512]),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.0, 1.5),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_displace_matches_dense_oracle(dim, seed, rho, phase):
+    alpha = rho * complex(math.cos(phase), math.sin(phase))
+    _check_against_oracle(lambda s: displace(s, alpha),
+                          lambda amps: dense_displace(amps, alpha),
+                          _narrow_random_state(dim, seed))
+
+
+@given(
+    dim=st.sampled_from([64, 128, 256, 512]),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.0, 1.0),
+    theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_squeeze_matches_dense_oracle(dim, seed, r, theta):
+    params = SqueezeParams(r=r, theta=theta)
+    _check_against_oracle(lambda s: squeeze(s, params),
+                          lambda amps: dense_squeeze(amps, r, theta),
+                          _narrow_random_state(dim, seed))
+
+
+def test_kernel_at_parameter_extremes():
+    # the corners of the property tests' parameter range
+    state = _narrow_random_state(256, 7)
+    for alpha in (1.5, -1.5j, 1.5 * np.exp(2.5j)):
+        got = displace(state, alpha)
+        assert np.max(np.abs(got.amps - dense_displace(state.amps, alpha))) <= KERNEL_TOL
+    for theta in (0.0, 1.0, math.pi, 5.0):
+        got = squeeze(state, SqueezeParams(r=1.0, theta=theta))
+        want = dense_squeeze(state.amps, 1.0, theta)
+        assert np.max(np.abs(got.amps - want)) <= KERNEL_TOL
+
+
+def test_builders_never_call_the_dense_exponential(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("state construction built a dense unitary")
+
+    monkeypatch.setattr(states_module, "expm", refuse)
+    params = SqueezeParams(r=0.8, theta=1.3)
+    scs = make_scs(1.2 - 0.4j, params, dim=256)
+    sgcs = make_sgcs(0.5j, params, lattice_phi([1.0, 1.0]).state, dim=256)
+    assert scs.dim == sgcs.dim == 256
+    vac = squeeze(number_state(0, 256), params)
+    want = squeezed_vacuum_amps(params.r, params.theta, 256)
+    assert np.max(np.abs(vac.amps - want)) < 1e-12
+
+
+def test_kernel_ignores_global_random_state():
+    # scipy's 1-norm estimator inside expm_multiply draws from np.random;
+    # the amplitudes must not depend on it
+    state = _narrow_random_state(1024, 3)
+    params = SqueezeParams(r=1.0, theta=0.4)
+    outputs = []
+    saved = np.random.get_state()
+    try:
+        for seed in range(4):
+            np.random.seed(seed)
+            outputs.append(displace(squeeze(state, params), 1.5 - 0.5j).amps)
+    finally:
+        np.random.set_state(saved)
+    for other in outputs[1:]:
+        assert np.array_equal(other, outputs[0])
+
+
+def test_sgcs_seed_with_tiny_amplitudes():
+    # every amplitude below 1e-14 is still a valid, normalizable seed
+    amps = np.zeros(16, dtype=complex)
+    amps[[0, 3]] = 1e-15
+    tiny = FockVector(amps)
+    params = SqueezeParams(r=0.3, theta=0.7)
+    for dim in (None, 128):
+        got = make_sgcs(0.4 - 0.2j, params, tiny, dim=dim)
+        want = make_sgcs(0.4 - 0.2j, params, tiny.normalized(), dim=dim)
+        assert got.dim == want.dim
+        assert np.max(np.abs(got.amps - want.amps)) < 1e-14
+
+
+def test_dense_operators_reject_dim_below_two():
+    for dim in (0, 1):
+        with pytest.raises(InvalidDimensionError):
+            displacement_operator(0.5, dim)
+        with pytest.raises(InvalidDimensionError):
+            squeeze_operator(SqueezeParams(r=0.3), dim)
