@@ -19,14 +19,8 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    CutoffReport,
     FockVector,
-    Operators,
-    build_operators,
-    cutoff_report,
     ensure_resolved,
-    expect,
-    expect_hermitian,
     number_state,
     random_state,
 )
@@ -92,9 +86,7 @@ __all__ = [
     "InvalidDimensionError", "InvalidParameterError", "InvalidSpecError",
     "NotContractiveError", "OutOfRangeError", "SeedConditionError",
     "TrivialStateError", "TruncationError",
-    "CutoffReport", "FockVector", "Operators", "build_operators",
-    "cutoff_report", "ensure_resolved", "expect", "expect_hermitian",
-    "number_state", "random_state",
+    "FockVector", "ensure_resolved", "number_state", "random_state",
     "PhiSpec", "PhiState", "check_phi", "ladder_moments", "lattice_phi",
     "lattice_phi_for_nbar", "solve_phi", "solve_phi_n3",
     "MomentSummary", "StateClass", "classify", "lambda_from_moments",

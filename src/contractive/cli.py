@@ -20,6 +20,8 @@ import numpy as np
 from . import dynamics, gcs, moments, states, verify
 from .errors import (
     ContractiveError,
+    DimensionMismatchError,
+    InvalidDimensionError,
     InvalidParameterError,
     InvalidSpecError,
     NotContractiveError,
@@ -152,23 +154,20 @@ def _moments_payload(summary: moments.MomentSummary) -> dict:
     return payload
 
 
-def _seed_from_args(args: argparse.Namespace, config: RunConfig) -> FockVector:
+def _seed_from_args(args: argparse.Namespace) -> FockVector:
     """Resolve a seed state for sgcs builds from whichever source is set."""
     given = [name for name in ("phi", "weights", "target_nbar", "band_spec", "free")
-             if getattr(args, name, None) is not None]
+             if getattr(args, name) is not None]
     if len(given) != 1:
         raise InvalidParameterError(
             "exactly one seed source required: --phi, --weights, "
             "--target-nbar, or a band spec"
         )
-    if getattr(args, "phi", None):
+    if args.phi:
         return FockVector.load(args.phi)
-    if getattr(args, "weights", None) is not None:
-        return gcs.lattice_phi(args.weights).state
-    if getattr(args, "target_nbar", None) is not None:
-        return gcs.lattice_phi_for_nbar(args.target_nbar, args.shells).state
-    spec = _band_spec_from_args(args)
-    return gcs.solve_phi(spec).state
+    if args.weights is not None or args.target_nbar is not None:
+        return _lattice_from_args(args).state
+    return gcs.solve_phi(_band_spec_from_args(args)).state
 
 
 def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
@@ -193,12 +192,12 @@ def _build_state(args: argparse.Namespace, config: RunConfig) -> FockVector:
     if kind == "scs":
         return states.make_scs(args.alpha, _squeeze_params(args), dim=dim)
     if kind == "gcs-lattice":
-        return _lattice_from_args(args, dim).state.padded(dim)
+        return _lattice_from_args(args).state.padded(dim)
     if kind == "gcs-solve":
         spec = _band_spec_from_args(args)
         return gcs.solve_phi(spec, dim=max(dim, spec.N + 1)).state
     if kind == "sgcs":
-        seed = _seed_from_args(args, config)
+        seed = _seed_from_args(args)
         return states.make_sgcs(args.alpha, _squeeze_params(args), seed, dim=dim)
     if kind == "extremal":
         return states.extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim)
@@ -209,7 +208,7 @@ def _squeeze_params(args: argparse.Namespace) -> states.SqueezeParams:
     return states.SqueezeParams(r=args.r, theta=args.theta)
 
 
-def _lattice_from_args(args: argparse.Namespace, dim: int) -> gcs.PhiState:
+def _lattice_from_args(args: argparse.Namespace) -> gcs.PhiState:
     if args.weights is not None and args.target_nbar is not None:
         raise InvalidParameterError(
             "give either --weights or --target-nbar, not both"
@@ -458,8 +457,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfRangeError, InvalidSpecError, InvalidParameterError) as exc:
-        # bad parameter values are usage errors, like unparseable ones
+    except (OutOfRangeError, InvalidSpecError, InvalidParameterError,
+            DimensionMismatchError, InvalidDimensionError) as exc:
+        # bad parameter values and malformed input files are usage errors,
+        # like unparseable ones
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractiveError as exc:

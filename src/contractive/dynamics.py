@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotContractiveError
-from .fock import FockVector, build_operators, ensure_resolved
+from .fock import FockVector, destroy, ensure_resolved
 from .moments import MomentSummary, summarize
 
 # Free-mass direct evolution embeds the state at >= this multiple of its
@@ -186,8 +186,9 @@ def contraction_window(summary: MomentSummary,
 
 @functools.lru_cache(maxsize=8)
 def _p_squared_eig(dim: int):
-    ops = build_operators(dim)
-    p2 = (ops.p @ ops.p).real  # real symmetric in the number basis
+    a = destroy(dim)
+    p = (a - a.conj().T) / (1j * np.sqrt(2))
+    p2 = (p @ p).real  # -(a - a^dag)^2 / 2, real symmetric in the number basis
     evals, evecs = np.linalg.eigh(p2)
     evecs.setflags(write=False)
     evals.setflags(write=False)

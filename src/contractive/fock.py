@@ -1,16 +1,15 @@
-"""Dense truncated Fock space: states, ladder operators, expectation values.
+"""Truncated Fock space: state vectors, truncation health, serialization.
 
 Everything here is dimensionless (hbar = 1). Quadratures follow
-x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)), so [x, p] = i on the
-truncation-safe block (all rows/columns except the last).
+x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)). Moments come from
+ladder index sums (`gcs.ladder_moments`). `destroy` is the one dense ladder
+matrix, for the operator-identity check and the free-mass oracle's p^2.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +25,6 @@ from .errors import (
 # Default threshold on the probability weight sitting in the top decile of
 # the ladder; states above it are rejected as under-resolved.
 TAIL_MASS_TOL = 1e-8
-
-# Expectation values of Hermitian operators must be real to this tolerance.
-HERMITIAN_IMAG_TOL = 1e-10
-
-OperatorMatrix = np.ndarray
-"""Dense complex matrix acting on the truncated space (shape (dim, dim))."""
 
 
 @dataclass(frozen=True)
@@ -92,13 +85,15 @@ class FockVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockVector":
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]
             re = np.asarray(data["re"], dtype=float)
             im = np.asarray(data["im"], dtype=float)
         except KeyError as exc:
             raise InvalidSpecError(f"state file lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed state file: {exc}") from None
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise InvalidSpecError(f"state file dim must be an integer, got {dim!r}")
         if re.size != dim or im.size != dim:
             raise DimensionMismatchError(
                 f"array lengths {re.size}/{im.size} do not match dim {dim}"
@@ -120,41 +115,11 @@ class FockVector:
         return cls.from_json_dict(data)
 
 
-@dataclass(frozen=True)
-class CutoffReport:
-    """Truncation health of a state at its current cutoff."""
-
-    tail_mass: float
-    dim: int
-
-    def ok(self, threshold: float = TAIL_MASS_TOL) -> bool:
-        return self.tail_mass < threshold
-
-
-class Operators(NamedTuple):
-    a: OperatorMatrix
-    adag: OperatorMatrix
-    x: OperatorMatrix
-    p: OperatorMatrix
-
-
-def destroy(dim: int) -> OperatorMatrix:
+def destroy(dim: int) -> np.ndarray:
     """Truncated annihilation operator, a[m-1, m] = sqrt(m)."""
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-@functools.lru_cache(maxsize=16)
-def build_operators(dim: int) -> Operators:
-    """Ladder and quadrature operators at the given cutoff (cached, read-only)."""
-    a = destroy(dim)
-    adag = a.conj().T
-    x = (a + adag) / np.sqrt(2)
-    p = (a - adag) / (1j * np.sqrt(2))
-    for m in (a, adag, x, p):
-        m.setflags(write=False)
-    return Operators(a, adag, x, p)
 
 
 def number_state(n: int, dim: int) -> FockVector:
@@ -176,32 +141,6 @@ def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     envelope = np.exp(-((np.arange(dim) / max(2, dim // 5)) ** 2))
     amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * envelope
     return FockVector(amps).normalized()
-
-
-def expect(state: FockVector, op: OperatorMatrix) -> complex:
-    """<state| op |state> as a complex number."""
-    op = np.asarray(op)
-    if op.shape != (state.dim, state.dim):
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match state dim {state.dim}"
-        )
-    return complex(np.vdot(state.amps, op @ state.amps))
-
-
-def expect_hermitian(state: FockVector, op: OperatorMatrix,
-                     imag_tol: float = HERMITIAN_IMAG_TOL) -> float:
-    """Expectation of a Hermitian operator; rejects stray imaginary parts."""
-    val = expect(state, op)
-    if abs(val.imag) > imag_tol:
-        raise ValueError(
-            f"expectation has imaginary part {val.imag:.3e} beyond {imag_tol:.1e}; "
-            "operator is not Hermitian or state is corrupted"
-        )
-    return val.real
-
-
-def cutoff_report(state: FockVector) -> CutoffReport:
-    return CutoffReport(tail_mass=state.tail_mass(), dim=state.dim)
 
 
 def ensure_resolved(state: FockVector) -> None:

@@ -74,11 +74,14 @@ class PhiSpec:
     def from_json_dict(cls, data: dict) -> "PhiSpec":
         try:
             free = tuple(complex(re, im) for re, im in data["free"])
-            n, N = int(data["n"]), int(data["N"])
+            n, N = data["n"], data["N"]
         except KeyError as exc:
             raise InvalidSpecError(f"band spec lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed band spec: {exc}") from None
+        for name, value in (("n", n), ("N", N)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidSpecError(f"band spec {name} must be an integer, got {value!r}")
         return cls(n=n, N=N, free=free)
 
     @classmethod

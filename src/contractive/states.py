@@ -128,9 +128,9 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     return displace(squeeze(seed.padded(max(dim, phi.dim)), params), alpha)
 
 
-def default_grid(points: int = GRID_POINTS, span: float = GRID_SPAN) -> np.ndarray:
-    """Uniform position grid on [-span, span]."""
-    return np.linspace(-span, span, points)
+def default_grid() -> np.ndarray:
+    """Uniform position grid of GRID_POINTS points on [-GRID_SPAN, GRID_SPAN]."""
+    return np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
 
 
 def hermite_basis(dim: int, grid: np.ndarray) -> np.ndarray:
@@ -167,30 +167,27 @@ def project_to_fock(values: np.ndarray, grid: np.ndarray, dim: int) -> FockVecto
     return FockVector(amps).normalized()
 
 
-def extremal_state(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
-                   grid: np.ndarray | None = None) -> np.ndarray:
+def extremal_state(lam: complex, mean_x: float = 0.0,
+                   mean_p: float = 0.0) -> np.ndarray:
     """Gaussian wavefunction annihilated by (Delta p - i lambda Delta x).
 
-    Returns the complex values on the grid. Moments: var_x = 1/(2 Re lambda),
-    var_p = |lambda|^2 / (2 Re lambda), cov = -Im lambda / Re lambda. Re lambda
-    must be positive for normalizability.
+    Returns the complex values on `default_grid()`. Moments:
+    var_x = 1/(2 Re lambda), var_p = |lambda|^2 / (2 Re lambda),
+    cov = -Im lambda / Re lambda. Re lambda must be positive for
+    normalizability.
     """
     lam = complex(lam)
     if not lam.real > 0:
         raise InvalidParameterError(f"Re lambda must be > 0, got {lam.real}")
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid()
     dx = grid - mean_x
     return (lam.real / np.pi) ** 0.25 * np.exp(1j * mean_p * grid - 0.5 * lam * dx**2)
 
 
 def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
-                  dim: int = 64, grid: np.ndarray | None = None) -> FockVector:
+                  dim: int = 64) -> FockVector:
     """Extremal Gaussian projected onto the truncated number basis."""
-    if grid is None:
-        grid = default_grid()
-    values = extremal_state(lam, mean_x, mean_p, grid)
-    state = project_to_fock(values, grid, dim)
+    values = extremal_state(lam, mean_x, mean_p)
+    state = project_to_fock(values, default_grid(), dim)
     ensure_resolved(state)
     return state

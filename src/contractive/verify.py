@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidParameterError
-from .fock import FockVector, build_operators, random_state
+from .fock import FockVector, destroy, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
 from .states import SqueezeParams, displacement_operator, make_scs, squeeze, squeeze_operator
@@ -128,8 +128,8 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
     """
     if dim < 32:
         raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")
-    ops = build_operators(dim)
-    a, adag = ops.a, ops.adag
+    a = destroy(dim)
+    adag = a.conj().T
     if block is None:
         block = safe_block(dim, params.r)
     if not 2 <= block <= dim:
@@ -292,8 +292,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
                            method: str = "monte-carlo",
                            seed: int = 0,
                            dim: int | None = None,
-                           radius: float | None = None,
-                           target: float = OVERCOMPLETENESS_TARGET
+                           radius: float | None = None
                            ) -> OvercompletenessReport:
     """Estimate || (1/pi) integral d^2alpha |psi_alpha><psi_alpha| - 1 || on
     the probe block, for psi_alpha = D(alpha) S(xi) |phi>.
@@ -327,7 +326,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         # Tightest disk whose excluded probe-block mass stays below a tenth
         # of the deviation target; the closed formula is the safety cap.
         cap = radius_cap(probe_dim, n_bar_chi, params.r)
-        radius = choose_radius(chi.amps, probe_dim, 0.1 * target, cap)
+        radius = choose_radius(chi.amps, probe_dim,
+                               0.1 * OVERCOMPLETENESS_TARGET, cap)
 
     gram = np.zeros((probe_dim, probe_dim), dtype=complex)
     if method == "monte-carlo":

@@ -54,6 +54,23 @@ def ladder_moments_direct(amps: np.ndarray):
     return complex(a1) / norm2, complex(a2) / norm2
 
 
+def dense_ladder(dim: int) -> np.ndarray:
+    """Truncated annihilation matrix, a[m-1, m] = sqrt(m)."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def dense_quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense x = (a + a^dag)/sqrt(2) and p = (a - a^dag)/(i sqrt(2))."""
+    a = dense_ladder(dim)
+    adag = a.conj().T
+    return (a + adag) / math.sqrt(2.0), (a - adag) / (1j * math.sqrt(2.0))
+
+
+def expect(amps: np.ndarray, op: np.ndarray) -> complex:
+    """<psi| op |psi> for the amplitude vector psi."""
+    return complex(np.vdot(amps, op @ amps))
+
+
 def dense_moments_oracle(amps: np.ndarray):
     """(var_x, var_p, cov, n_bar) from dense ladder matrices.
 
@@ -62,10 +79,8 @@ def dense_moments_oracle(amps: np.ndarray):
     """
     psi = np.zeros(amps.size + 1, dtype=complex)
     psi[:-1] = amps / np.linalg.norm(amps)
-    a = np.diag(np.sqrt(np.arange(1, psi.size, dtype=float)), k=1).astype(complex)
-    adag = a.conj().T
-    x = (a + adag) / math.sqrt(2.0)
-    p = (a - adag) / (1j * math.sqrt(2.0))
+    a = dense_ladder(psi.size)
+    x, p = dense_quadratures(psi.size)
     x_psi, p_psi = x @ psi, p @ psi
     mean_x = np.vdot(psi, x_psi).real
     mean_p = np.vdot(psi, p_psi).real
@@ -77,19 +92,15 @@ def dense_moments_oracle(amps: np.ndarray):
     return var_x, var_p, cov, n_bar
 
 
-def _dense_ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
 def dense_displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
     """expm(alpha a^dag - alpha* a) @ amps with dense truncated ladder matrices."""
-    a = _dense_ladder(amps.size)
+    a = dense_ladder(amps.size)
     return expm(alpha * a.conj().T - np.conjugate(alpha) * a) @ amps
 
 
 def dense_squeeze(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
     """expm((xi* a^2 - xi a^dag^2)/2) @ amps, xi = r e^{i theta}, dense."""
-    a = _dense_ladder(amps.size)
+    a = dense_ladder(amps.size)
     a2 = a @ a
     xi = r * np.exp(1j * theta)
     return expm(0.5 * (np.conjugate(xi) * a2 - xi * a2.conj().T)) @ amps

@@ -389,6 +389,31 @@ def test_state_file_non_finite_amplitude(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("dim", [16.9, True, "16"])
+def test_state_file_dim_not_integer(tmp_path, capsys, dim):
+    data = number_state(0, 16).to_json_dict()
+    data["dim"] = dim
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "state", "moments", str(path))
+    _assert_usage_error(code, err)
+    assert "dim" in err and out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": 4, "re": [1.0, 0.0], "im": [0.0, 0.0]},     # lengths disagree with dim
+    {"dim": 1, "re": [1.0], "im": [0.0]},               # dim below 2
+    {"dim": 4, "re": [[1.0, 0.0], [0.0, 0.0]],          # 2-D amplitude arrays
+     "im": [[0.0, 0.0], [0.0, 0.0]]},
+])
+def test_state_file_malformed_structure(tmp_path, capsys, data):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "state", "moments", str(path))
+    _assert_usage_error(code, err)
+    assert out == ""
+
+
 def test_env_dim_not_integer(capsys, monkeypatch):
     monkeypatch.setenv("CONTRACTIVE_DIM", "abc")
     code, _, err = run_cli(capsys, "state", "build", "number")
@@ -422,6 +447,10 @@ def test_config_file_wrong_type(tmp_path, capsys):
     json.dumps({"n": 0, "N": 3, "free": [["a", 0.0], [0.5, 0.0]]}),  # text
     json.dumps({"n": "low", "N": 3, "free": [[1.0, 0.0], [0.5, 0.0]]}),
     json.dumps([0, 3]),                                # not an object
+    # integer fields must be JSON integers, not truncated or coerced
+    json.dumps({"n": 0.9, "N": 3.7, "free": [[1.0, 0.0], [0.5, 0.0]]}),
+    json.dumps({"n": True, "N": 4, "free": [[1.0, 0.0], [0.5, 0.0]]}),
+    json.dumps({"n": 0, "N": "3", "free": [[1.0, 0.0], [0.5, 0.0]]}),
 ])
 def test_band_spec_file_malformed(tmp_path, capsys, text):
     spec_file = tmp_path / "spec.json"

@@ -1,0 +1,20 @@
+import contractive
+
+# Dense operator helpers retired from the public API: moments come from
+# ladder index sums, and dense test oracles live in tests/conftest.py.
+REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
+           "CutoffReport", "cutoff_report"]
+
+
+def test_all_names_resolve():
+    missing = [name for name in contractive.__all__ if not hasattr(contractive, name)]
+    assert missing == []
+    namespace = {}
+    exec("from contractive import *", namespace)
+    assert set(contractive.__all__) <= set(namespace)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in contractive.__all__
+        assert not hasattr(contractive, name), name

@@ -179,7 +179,7 @@ def test_overcompleteness_default_radius_bounds_excluded_mass():
     # (a tenth of the deviation target) rather than at rounding level
     report = check_overcompleteness(
         number_state(0, 8), SqueezeParams(r=0.0), probe_dim=8,
-        budget=40_000, method="grid", target=5e-3,
+        budget=40_000, method="grid",
     )
     assert report.max_abs_deviation < 5e-4
 
