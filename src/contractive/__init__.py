@@ -45,18 +45,13 @@ from .moments import (
 )
 from .states import (
     SqueezeParams,
-    default_grid,
     displace,
     displacement_operator,
     extremal_fock,
-    extremal_state,
-    hermite_basis,
     make_scs,
     make_sgcs,
-    project_to_fock,
     squeeze,
     squeeze_operator,
-    wavefunction,
 )
 from .dynamics import (
     ContractionWindow,
@@ -91,10 +86,8 @@ __all__ = [
     "lattice_phi_for_nbar", "solve_phi", "solve_phi_n3",
     "MomentSummary", "StateClass", "classify", "lambda_from_moments",
     "scs_predicted_moments", "sgcs_predicted_moments", "summarize",
-    "SqueezeParams", "default_grid", "displace", "extremal_fock",
-    "extremal_state", "make_scs", "make_sgcs", "project_to_fock", "squeeze",
-    "displacement_operator", "squeeze_operator", "hermite_basis",
-    "wavefunction",
+    "SqueezeParams", "displace", "extremal_fock", "make_scs", "make_sgcs",
+    "squeeze", "displacement_operator", "squeeze_operator",
     "ContractionWindow", "EvolutionTrace", "PhysicalScales",
     "contraction_window", "evolve_free_mass", "evolve_oscillator",
     "rql_band", "schrodinger_oracle",

@@ -163,7 +163,9 @@ def _seed_from_args(args: argparse.Namespace) -> FockVector:
             "exactly one seed source required: --phi, --weights, "
             "--target-nbar, or a band spec"
         )
-    if args.phi:
+    if args.phi is not None:
+        if not args.phi:
+            raise InvalidParameterError("--phi needs a seed file path")
         return FockVector.load(args.phi)
     if args.weights is not None or args.target_nbar is not None:
         return _lattice_from_args(args).state

@@ -1,4 +1,4 @@
-"""State construction: displacement, squeezing, seeded families, wavefunctions.
+"""State construction: displacement, squeezing, seeded families, extremal packets.
 
 Builders act in the truncated space and re-check truncation health of their
 output, so a state returned from here is safe to feed into the moment and
@@ -7,6 +7,7 @@ dynamics layers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,11 +19,6 @@ from scipy.sparse.linalg import expm_multiply
 from . import gcs
 from .errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
 from .fock import FockVector, ensure_resolved, number_state
-
-# Default position grid for wavefunction work: wide enough for the moderate
-# displacements and squeezings this toolkit targets.
-GRID_POINTS = 2048
-GRID_SPAN = 12.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +85,8 @@ def _apply(state: FockVector, k: int, c: complex) -> FockVector:
 
 def displace(state: FockVector, alpha: complex) -> FockVector:
     """Apply D(alpha); raises TruncationError if the result is under-resolved."""
+    if not cmath.isfinite(alpha):
+        raise InvalidParameterError(f"displacement alpha must be finite, got {alpha}")
     return _apply(state, 1, alpha)
 
 
@@ -128,66 +126,29 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     return displace(squeeze(seed.padded(max(dim, phi.dim)), params), alpha)
 
 
-def default_grid() -> np.ndarray:
-    """Uniform position grid of GRID_POINTS points on [-GRID_SPAN, GRID_SPAN]."""
-    return np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
+def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
+                  dim: int = 64) -> FockVector:
+    """Extremal packet annihilated by (Delta p - i lambda Delta x).
 
-
-def hermite_basis(dim: int, grid: np.ndarray) -> np.ndarray:
-    """Normalized Hermite-Gaussian functions <x|m>, shape (dim, len(grid)).
-
-    Uses the stable three-term recurrence on the normalized functions
-    phi_m = sqrt(2/m) x phi_{m-1} - sqrt((m-1)/m) phi_{m-2}, which avoids
-    factorial overflow entirely.
-    """
-    grid = np.asarray(grid, dtype=float)
-    basis = np.zeros((dim, grid.size))
-    basis[0] = np.pi ** -0.25 * np.exp(-0.5 * grid**2)
-    if dim > 1:
-        basis[1] = np.sqrt(2.0) * grid * basis[0]
-    for m in range(2, dim):
-        basis[m] = (np.sqrt(2.0 / m) * grid * basis[m - 1]
-                    - np.sqrt((m - 1) / m) * basis[m - 2])
-    return basis
-
-
-def wavefunction(state: FockVector, grid: np.ndarray | None = None) -> np.ndarray:
-    """Position wavefunction <x|state> sampled on the grid."""
-    if grid is None:
-        grid = default_grid()
-    basis = hermite_basis(state.dim, grid)
-    return state.amps @ basis
-
-
-def project_to_fock(values: np.ndarray, grid: np.ndarray, dim: int) -> FockVector:
-    """Project a grid wavefunction onto number states by quadrature."""
-    grid = np.asarray(grid, dtype=float)
-    basis = hermite_basis(dim, grid)
-    amps = np.trapezoid(basis * np.asarray(values)[None, :], grid, axis=1)
-    return FockVector(amps).normalized()
-
-
-def extremal_state(lam: complex, mean_x: float = 0.0,
-                   mean_p: float = 0.0) -> np.ndarray:
-    """Gaussian wavefunction annihilated by (Delta p - i lambda Delta x).
-
-    Returns the complex values on `default_grid()`. Moments:
-    var_x = 1/(2 Re lambda), var_p = |lambda|^2 / (2 Re lambda),
-    cov = -Im lambda / Re lambda. Re lambda must be positive for
+    It saturates 4 var_x var_p - cov^2 = 1 with var_x = 1/(2 Re lambda),
+    var_p = |lambda|^2 / (2 Re lambda) and cov = -Im lambda / Re lambda,
+    and is the squeezed coherent state D(alpha) S(xi)|0> with
+    alpha = (mean_x + i mean_p)/sqrt(2), cosh 2r = var_x + var_p,
+    cos theta sinh 2r = var_p - var_x and sin theta sinh 2r = -cov.
+    Defined up to a global phase. Re lambda must be positive for
     normalizability.
     """
     lam = complex(lam)
-    if not lam.real > 0:
-        raise InvalidParameterError(f"Re lambda must be > 0, got {lam.real}")
-    grid = default_grid()
-    dx = grid - mean_x
-    return (lam.real / np.pi) ** 0.25 * np.exp(1j * mean_p * grid - 0.5 * lam * dx**2)
-
-
-def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
-                  dim: int = 64) -> FockVector:
-    """Extremal Gaussian projected onto the truncated number basis."""
-    values = extremal_state(lam, mean_x, mean_p)
-    state = project_to_fock(values, default_grid(), dim)
-    ensure_resolved(state)
-    return state
+    if not (cmath.isfinite(lam) and lam.real > 0
+            and math.isfinite(mean_x) and math.isfinite(mean_p)):
+        raise InvalidParameterError(
+            f"need finite lambda with Re lambda > 0 and finite means, "
+            f"got lambda={lam}, mean_x={mean_x}, mean_p={mean_p}"
+        )
+    var_gap = (lam.real**2 + lam.imag**2 - 1.0) / (2.0 * lam.real)  # var_p - var_x
+    minus_cov = lam.imag / lam.real
+    # r from sinh 2r rather than arccosh(var_x + var_p): near r = 0 the latter
+    # turns rounding in var_x + var_p into an error of order sqrt(eps) in r.
+    params = SqueezeParams(r=0.5 * math.asinh(math.hypot(var_gap, minus_cov)),
+                           theta=math.atan2(minus_cov, var_gap))
+    return make_scs(complex(mean_x, mean_p) / math.sqrt(2.0), params, dim=dim)

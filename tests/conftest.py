@@ -106,6 +106,58 @@ def dense_squeeze(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
     return expm(0.5 * (np.conjugate(xi) * a2 - xi * a2.conj().T)) @ amps
 
 
+# np.trapz was renamed np.trapezoid in numpy 2.0.
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def position_grid() -> np.ndarray:
+    """2,048 uniform points on [-12, 12] for the Hermite-function oracles.
+
+    Wide enough for the moderate displacements and squeezings the tests use.
+    """
+    return np.linspace(-12.0, 12.0, 2048)
+
+
+def hermite_basis(dim: int, grid: np.ndarray) -> np.ndarray:
+    """Normalized Hermite-Gaussian functions <x|m>, shape (dim, len(grid)).
+
+    Uses the stable three-term recurrence on the normalized functions
+    phi_m = sqrt(2/m) x phi_{m-1} - sqrt((m-1)/m) phi_{m-2}, which avoids
+    factorial overflow entirely.
+    """
+    grid = np.asarray(grid, dtype=float)
+    basis = np.zeros((dim, grid.size))
+    basis[0] = np.pi ** -0.25 * np.exp(-0.5 * grid**2)
+    if dim > 1:
+        basis[1] = np.sqrt(2.0) * grid * basis[0]
+    for m in range(2, dim):
+        basis[m] = (np.sqrt(2.0 / m) * grid * basis[m - 1]
+                    - np.sqrt((m - 1) / m) * basis[m - 2])
+    return basis
+
+
+def wavefunction(amps: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Position wavefunction <x|psi> of the amplitude vector on the grid."""
+    return np.asarray(amps) @ hermite_basis(len(amps), grid)
+
+
+def grid_extremal_amps(lam: complex, mean_x: float, mean_p: float,
+                       dim: int) -> np.ndarray:
+    """Extremal Gaussian sampled on position_grid(), projected by quadrature.
+
+    The Gaussian (Re lam / pi)^{1/4} exp(i mean_p x - lam (x - mean_x)^2 / 2)
+    is annihilated by (Delta p - i lam Delta x); its overlaps with the
+    Hermite functions come from the trapezoid rule, and the result is
+    normalized.
+    """
+    lam = complex(lam)
+    grid = position_grid()
+    values = (lam.real / np.pi) ** 0.25 * np.exp(
+        1j * mean_p * grid - 0.5 * lam * (grid - mean_x) ** 2)
+    amps = trapezoid(hermite_basis(dim, grid) * values[None, :], grid, axis=1)
+    return amps / np.linalg.norm(amps)
+
+
 # ---------------------------------------------------------------------------
 # Acceptance reporting: one PASS/FAIL line per criterion in the terminal
 # summary, keyed off test names in test_acceptance.py.

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contractive
 from contractive import FockVector, PhiSpec, number_state
 from contractive.cli import main, parse_complex
 
@@ -346,9 +349,13 @@ def test_sweep_nbar_only_for_sgcs(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the package from wherever this process found it
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "contractive.cli", "state", "build", "number"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_bar"] == 0.0
@@ -480,3 +487,26 @@ def test_sgcs_seed_file_with_tiny_amplitudes(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["n_bar"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "build", "scs", "--alpha=1e400"],
+    ["state", "build", "coherent", "--alpha=1e400"],
+    ["state", "build", "displaced-number", "--alpha=1e400i"],
+    ["sweep", "--alpha=1e400"],
+    ["sweep", "--kind", "sgcs", "--alpha=-1e400"],
+    ["state", "build", "extremal", "--mean-x=inf"],
+    ["state", "build", "extremal", "--lam=1e400"],
+])
+def test_non_finite_input_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_sgcs_empty_phi_path(capsys):
+    code, out, err = run_cli(
+        capsys, "state", "build", "sgcs", "--phi", "", "--alpha", "0.1",
+    )
+    _assert_usage_error(code, err)
+    assert "--phi" in err and out == ""

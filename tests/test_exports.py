@@ -1,9 +1,12 @@
 import contractive
 
-# Dense operator helpers retired from the public API: moments come from
-# ladder index sums, and dense test oracles live in tests/conftest.py.
+# Retired from the public API: moments come from ladder index sums, extremal
+# packets are squeezed coherent states, and the dense and position-grid test
+# oracles live in tests/conftest.py.
 REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
-           "CutoffReport", "cutoff_report"]
+           "CutoffReport", "cutoff_report",
+           "GRID_POINTS", "GRID_SPAN", "default_grid", "hermite_basis",
+           "wavefunction", "project_to_fock", "extremal_state"]
 
 
 def test_all_names_resolve():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractive import (
@@ -12,20 +12,17 @@ from contractive import (
     SeedConditionError,
     SqueezeParams,
     TruncationError,
-    default_grid,
+    classify,
     displace,
     displacement_operator,
     extremal_fock,
-    extremal_state,
-    hermite_basis,
     make_scs,
     make_sgcs,
     number_state,
-    project_to_fock,
     random_state,
     squeeze,
     squeeze_operator,
-    wavefunction,
+    summarize,
 )
 
 from conftest import (
@@ -33,7 +30,13 @@ from conftest import (
     dense_ladder,
     dense_quadratures,
     expect,
+    grid_extremal_amps,
+    hermite_basis,
+    ladder_moments_direct,
+    position_grid,
     squeezed_vacuum_amps,
+    trapezoid,
+    wavefunction,
 )
 
 
@@ -158,18 +161,18 @@ def test_sgcs_centered_bogoliubov_moments():
 
 
 def test_vacuum_wavefunction_gaussian():
-    grid = default_grid()
-    psi = wavefunction(number_state(0, 32), grid)
+    grid = position_grid()
+    psi = wavefunction(number_state(0, 32).amps, grid)
     want = np.pi ** (-0.25) * np.exp(-0.5 * grid**2)
     assert np.max(np.abs(psi - want)) < 1e-12
-    norm = np.trapezoid(np.abs(psi) ** 2, grid)
+    norm = trapezoid(np.abs(psi) ** 2, grid)
     assert abs(norm - 1.0) < 1e-9
 
 
 def test_hermite_basis_orthonormal():
-    grid = default_grid()
+    grid = position_grid()
     basis = hermite_basis(32, grid)
-    gram = np.trapezoid(basis[:, None, :] * basis[None, :, :], grid, axis=-1)
+    gram = trapezoid(basis[:, None, :] * basis[None, :, :], grid, axis=-1)
     assert np.max(np.abs(gram - np.eye(32))) < 1e-9
 
 
@@ -179,8 +182,8 @@ def test_squeezed_number_wavefunction_closed_form():
     r, n = 0.3, 2
     params = SqueezeParams(r=r, theta=0.0)
     state = squeeze(number_state(n, 64), params)
-    grid = default_grid()
-    psi = wavefunction(state, grid)
+    grid = position_grid()
+    psi = wavefunction(state.amps, grid)
 
     s = math.exp(-r)  # mu - nu at theta = 0
     lam = (params.mu + params.nu.real) / s
@@ -199,26 +202,18 @@ def test_displaced_wavefunction_phase_identity():
     alpha = complex(a1, a2)
     base = number_state(1, 96)
     moved = displace(base, alpha)
-    grid = default_grid()
-    psi_moved = wavefunction(moved, grid)
-    psi_base = wavefunction(base, grid - math.sqrt(2.0) * a1)
+    grid = position_grid()
+    psi_moved = wavefunction(moved.amps, grid)
+    psi_base = wavefunction(base.amps, grid - math.sqrt(2.0) * a1)
     phase = np.exp(1j * math.sqrt(2.0) * a2 * (grid - a1 / math.sqrt(2.0)))
     assert np.max(np.abs(psi_moved - psi_base * phase)) < 1e-8
 
 
-def test_project_round_trip(rng):
-    state = random_state(32, rng)
-    grid = default_grid()
-    values = wavefunction(state, grid)
-    back = project_to_fock(values, grid, 32)
-    assert np.max(np.abs(back.amps - state.amps)) < 1e-9
-
-
 def test_extremal_state_requires_contracting_real_part():
     with pytest.raises(InvalidParameterError):
-        extremal_state(-1.0 + 0.5j)
+        extremal_fock(-1.0 + 0.5j)
     with pytest.raises(InvalidParameterError):
-        extremal_state(0.0 + 1.0j)
+        extremal_fock(0.0 + 1.0j)
 
 
 def test_extremal_lambda_one_is_vacuum():
@@ -252,3 +247,56 @@ def test_extremal_eigen_condition():
     x, p = dense_quadratures(64)
     resid = (p - 1j * lam * x) @ state.amps
     assert np.linalg.norm(resid[:48]) / abs(lam) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [complex(math.inf, 0.0), complex(0.0, -math.inf),
+                                   complex(math.nan, 0.0)])
+def test_displace_rejects_non_finite_alpha(alpha):
+    with pytest.raises(InvalidParameterError):
+        displace(number_state(0, 32), alpha)
+
+
+@pytest.mark.parametrize("lam,mean_x,mean_p", [
+    (complex(math.inf, 0.0), 0.0, 0.0),
+    (complex(1.0, math.nan), 0.0, 0.0),
+    (1.0, math.inf, 0.0),
+    (1.0, 0.0, math.nan),
+])
+def test_extremal_rejects_non_finite_input(lam, mean_x, mean_p):
+    with pytest.raises(InvalidParameterError):
+        extremal_fock(lam, mean_x, mean_p)
+
+
+def test_extremal_wide_packet_is_exact():
+    # lam = 0.1: var_x = 5, past what a grid on [-12, 12] resolves to 1e-10
+    summary = summarize(extremal_fock(0.1, dim=512))
+    assert abs(summary.var_x - 5.0) < 1e-10
+    assert classify(summary).is_extremal
+
+
+@pytest.mark.parametrize("lam,mean_x,dim", [(0.05, 0.0, 1024), (1.0, 11.0, 256)])
+def test_extremal_builds_beyond_grid(lam, mean_x, dim):
+    state = extremal_fock(lam, mean_x=mean_x, dim=dim)
+    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(math.sqrt(2.0) * ladder_moments_direct(state.amps)[0].real - mean_x) < 1e-9
+
+
+@given(
+    lam_re=st.floats(0.5, 2.0),
+    lam_im=st.floats(-1.5, 1.5),
+    mean_x=st.floats(-1.5, 1.5),
+    mean_p=st.floats(-1.5, 1.5),
+)
+@example(lam_re=0.5, lam_im=1.5, mean_x=1.5, mean_p=-1.5)
+@example(lam_re=2.0, lam_im=-1.5, mean_x=-1.5, mean_p=1.5)
+@settings(max_examples=40, deadline=None)
+def test_extremal_matches_grid_oracle(lam_re, lam_im, mean_x, mean_p):
+    lam = complex(lam_re, lam_im)
+    got = extremal_fock(lam, mean_x, mean_p, dim=128)
+    want = grid_extremal_amps(lam, mean_x, mean_p, 128)
+    assert abs(1.0 - abs(np.vdot(want, got.amps))) < 1e-12
+    a, b = summarize(got), summarize(FockVector(want))
+    for name in ("var_x", "var_p", "cov", "n_bar"):
+        assert abs(getattr(a, name) - getattr(b, name)) < 1e-9, name
+    for x, y in zip(ladder_moments_direct(got.amps), ladder_moments_direct(want)):
+        assert abs(x - y) < 1e-9
