@@ -136,6 +136,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise OutOfRangeError(
             f"dim must be >= 16 for physics commands, got {config.dim}"
         )
+    if config.seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {config.seed}")
     return config
 
 
@@ -246,6 +248,8 @@ def cmd_state_moments(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if args.samples < 1:
+        raise OutOfRangeError(f"--samples must be >= 1, got {args.samples}")
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
     scales = _scales(config)

@@ -12,7 +12,7 @@ All moments come from the ladder index sums <a>, <a^2> and n_bar = <a^dag a>:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidParameterError
 from .fock import FockVector, ensure_resolved
@@ -55,13 +55,7 @@ class MomentSummary:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "var_x": self.var_x,
-            "var_p": self.var_p,
-            "cov": self.cov,
-            "n_bar": self.n_bar,
-            "uncertainty_product": self.uncertainty_product,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,12 +68,7 @@ class StateClass:
     is_extremal: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_squeezed": self.is_squeezed,
-            "is_contractive": self.is_contractive,
-            "is_gcs": self.is_gcs,
-            "is_extremal": self.is_extremal,
-        }
+        return asdict(self)
 
 
 def summarize(state: FockVector) -> MomentSummary:

@@ -3,6 +3,13 @@
 Builders act in the truncated space and re-check truncation health of their
 output, so a state returned from here is safe to feed into the moment and
 dynamics layers.
+
+Displacement and squeezing are exponentials of the banded generator
+G = c a^dag^k - c* a^k. Builders apply exp(G) to the vector with a truncated
+Taylor series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011), sec. 3) whose matrix-vector product is an index shift, so no builder
+forms a dim x dim array. The dense D and S (`displacement_operator`,
+`squeeze_operator`) exist for the operator-identity check only.
 """
 
 from __future__ import annotations
@@ -12,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import gcs
 from .errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
@@ -47,46 +51,98 @@ class SqueezeParams:
         return complex(math.cos(self.theta), math.sin(self.theta)) * self.r
 
 
-def _generator(k: int, c: complex, dim: int) -> sp.csr_matrix:
-    """c a^dag^k - c* a^k as a banded sparse matrix on the truncated space.
+# Bound on the 1-norm of G/steps in one Taylor step. The partial sums of a
+# step can exceed the result by about e^4, so rounding stays near e^4 u.
+_STEP_NORM = 4.0
 
-    k = 1, c = alpha generates D(alpha); k = 2, c = -xi/2 generates S(xi).
+
+def _band(k: int, c: complex, dim: int) -> np.ndarray:
+    """Band of G = c a^dag^k - c* a^k on the truncated space.
+
+    G[m + k, m] = band[m] and G[m, m + k] = -conj(band[m]). k = 1, c = alpha
+    generates D(alpha); k = 2, c = -xi/2 generates S(xi).
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     m = np.arange(dim - k, dtype=float)
-    band = complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
-    return sp.diags([band, -band.conj()], [-k, k], format="csr")
+    return complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential, for the operator-identity check only.
+
+    scipy is imported here, on first use, so building states never loads it.
+    """
+    from scipy.linalg import expm as dense_expm
+
+    return dense_expm(matrix)
+
+
+def _dense_generator(k: int, c: complex, dim: int) -> np.ndarray:
+    band = _band(k, c, dim)
+    return np.diag(band, -k) - np.diag(band.conj(), k)
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """Dense D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    return expm(_generator(1, alpha, dim).toarray())
+    return expm(_dense_generator(1, alpha, dim))
 
 
 def squeeze_operator(params: SqueezeParams, dim: int) -> np.ndarray:
     """Dense S(xi) = exp((xi* a^2 - xi a^dag^2)/2) on the truncated space."""
-    return expm(_generator(2, -0.5 * params.xi, dim).toarray())
+    return expm(_dense_generator(2, -0.5 * params.xi, dim))
 
 
 def _apply(state: FockVector, k: int, c: complex) -> FockVector:
-    # expm_multiply (Al-Mohy & Higham 2011) acts on the vector. Its 1-norm
-    # estimator draws from np.random: pinned, so runs repeat bit for bit.
+    """exp(G) applied to the state's amplitudes, G = c a^dag^k - c* a^k.
+
+    The step count comes from the exact 1-norm of G (its largest absolute
+    column sum). Each step sums the Taylor series of exp(G/steps) until two
+    consecutive terms fall below u times the partial sum (Al-Mohy & Higham's
+    stopping test).
+    """
     ensure_resolved(state)
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        out = FockVector(expm_multiply(_generator(k, c, state.dim), state.amps))
-    finally:
-        np.random.set_state(saved)
-    ensure_resolved(out)
-    return out
+    band = _band(k, c, state.dim)
+    col_sums = np.zeros(state.dim)
+    col_sums[:-k] += np.abs(band)
+    col_sums[k:] += np.abs(band)
+    steps = max(1, math.ceil(float(col_sums.max()) / _STEP_NORM))
+    band = band / steps
+    band_conj = band.conj()
+    out = state.amps.astype(complex)
+    term = np.empty_like(out)
+    shifted = np.empty_like(out)
+    tol = np.finfo(float).eps / 2.0
+    for _ in range(steps):
+        term[:] = out
+        prev = abs(term).max()
+        bound = prev  # >= max|out| by the triangle inequality; spares the norm
+        degree = 1
+        while True:  # ||G/steps|| <= 4: terms shrink like 4^j/j!, ~40 at most
+            shifted[:k] = 0.0
+            np.multiply(band, term[:-k], out=shifted[k:])
+            shifted[:-k] -= band_conj * term[k:]
+            np.multiply(shifted, 1.0 / degree, out=term)
+            out += term
+            size = abs(term).max()
+            bound += size
+            if prev + size <= tol * bound and prev + size <= tol * abs(out).max():
+                break
+            prev = size
+            degree += 1
+    result = FockVector(out)
+    ensure_resolved(result)
+    return result
+
+
+def _require_finite_alpha(alpha: complex) -> None:
+    if not cmath.isfinite(alpha):
+        raise InvalidParameterError(f"displacement alpha must be finite, got {alpha}")
 
 
 def displace(state: FockVector, alpha: complex) -> FockVector:
     """Apply D(alpha); raises TruncationError if the result is under-resolved."""
-    if not cmath.isfinite(alpha):
-        raise InvalidParameterError(f"displacement alpha must be finite, got {alpha}")
+    _require_finite_alpha(alpha)
     return _apply(state, 1, alpha)
 
 
@@ -106,6 +162,7 @@ def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
 def make_scs(alpha: complex, params: SqueezeParams,
              dim: int | None = None) -> FockVector:
     """Squeezed coherent state D(alpha) S(xi) |0>."""
+    _require_finite_alpha(alpha)
     if dim is None:
         dim = _auto_dim(0, alpha, params.r)
     return displace(squeeze(number_state(0, dim), params), alpha)
@@ -118,6 +175,7 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     The seed phi must satisfy the vanishing ladder-moment conditions
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
     """
+    _require_finite_alpha(alpha)
     gcs.require_seed(phi)
     seed = phi.normalized()
     top = int(np.nonzero(np.abs(seed.amps) > 1e-14)[0][-1])

@@ -12,21 +12,26 @@ Laguerre recurrence and log-scaled prefactors, so probe amplitudes carry no
 truncation error and a million samples stay cheap. The ladder recurrence
 sqrt(j+1)<j+1|D|m> = alpha<j|D|m> + sqrt(m)<j|D|m-1> is not used: it is
 unstable upward (errors above 1e5 at probe 32, dim 128, |alpha| = radius_cap/2).
+
+`check_conjugation_identities` is the one check built on dense truncated
+operators: the identities are statements about the operators themselves, so
+it exponentiates dense generators through `states.expm`, which loads the
+dense exponential on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidParameterError
 from .fock import FockVector, destroy, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
-from .states import SqueezeParams, displacement_operator, make_scs, squeeze, squeeze_operator
+from .states import (SqueezeParams, displacement_operator, expm, make_scs, squeeze,
+                     squeeze_operator)
 from .dynamics import PhysicalScales, evolve_free_mass, evolve_oscillator
 
 # Identity-resolution deviation target for the default Monte Carlo budget of
@@ -58,14 +63,7 @@ class ConjugationReport:
                    self.squeeze_conjugation, self.displacement_equality)
 
     def to_json_dict(self) -> dict:
-        return {
-            "displacement": self.displacement,
-            "bogoliubov_displacement": self.bogoliubov_displacement,
-            "squeeze_conjugation": self.squeeze_conjugation,
-            "displacement_equality": self.displacement_equality,
-            "dim": self.dim,
-            "block": self.block,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,7 @@ class OvercompletenessReport:
     grid_spec: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "probe_dim": self.probe_dim,
-            "max_abs_deviation": self.max_abs_deviation,
-            "method": self.method,
-            "budget": self.budget,
-            "seed": self.seed,
-            "radius": self.radius,
-            "grid_spec": self.grid_spec,
-        }
+        return asdict(self)
 
 
 def _block_norm(matrix: np.ndarray, block: int) -> float:
@@ -304,6 +294,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     small for a target accuracy is not an error; the achieved deviation is
     simply reported.
     """
+    if method not in ("monte-carlo", "grid"):
+        raise InvalidParameterError(f"unknown method {method!r}")
     if dim is None:
         dim = max(64, 4 * probe_dim, 2 * phi.dim)
     if probe_dim < 0 or probe_dim > dim // 4:
@@ -342,7 +334,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             block = displaced_block(chi.amps, alphas, probe_dim)
             gram += (radius**2 / budget) * (block @ block.conj().T)
         grid_spec = None
-    elif method == "grid":
+    else:
         top = int(np.nonzero(np.abs(chi.amps) > 1e-13)[0][-1])
         n_ang = 2 * (top + probe_dim) + 9
         n_rad = max(64, min(512, budget // n_ang if budget >= n_ang else 64))
@@ -357,8 +349,6 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         grid_spec = f"{n_rad}x{n_ang}"
         budget = n_rad * n_ang
         seed = None
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
 
     deviation = float(np.max(np.abs(gram - np.eye(probe_dim))))
     return OvercompletenessReport(
@@ -503,6 +493,8 @@ SUITES = {
 
 def run_suite(name: str, budget: int, seed: int) -> dict:
     """Run one named suite, or all of them, returning a JSON-ready report."""
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     if name == "all":
         # Saturation builds and audits a squeezed coherent state per draw
         # and rql runs two propagations per state; keep their state counts

@@ -510,3 +510,37 @@ def test_sgcs_empty_phi_path(capsys):
     )
     _assert_usage_error(code, err)
     assert "--phi" in err and out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_usage_error(tmp_path, capsys, source):
+    argv = ["verify", "uncertainty", "--budget", "5"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert "seed" in err and out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_evolve_samples_below_one_usage_error(tmp_path, capsys, samples):
+    path = tmp_path / "vac.json"
+    number_state(0, 32).dump(path)
+    code, out, err = run_cli(
+        capsys, "evolve", str(path), "--system", "oscillator",
+        "--t-max", "1.0", "--samples", samples,
+    )
+    _assert_usage_error(code, err)
+    assert "samples" in err and out == ""
+
+
+@pytest.mark.parametrize("suite", ["uncertainty", "rql", "saturation", "all"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_verify_budget_below_one_usage_error(capsys, suite, budget):
+    code, out, err = run_cli(capsys, "verify", suite, "--budget", budget)
+    _assert_usage_error(code, err)
+    assert "budget" in err and out == ""

@@ -1,16 +1,24 @@
 """The matrix-free displacement/squeeze kernel against the dense oracle.
 
 `displace` and `squeeze` apply exp(generator) to the vector; the dense
-truncated unitaries in conftest are the reference they must reproduce.
+truncated unitaries in conftest are the reference they must reproduce, and
+the sparse `expm_multiply` kernel the package used before its own Taylor
+loop is a second reference.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import contractive
 import contractive.states as states_module
 from contractive import (
     FockVector,
@@ -27,7 +35,12 @@ from contractive import (
     squeeze_operator,
 )
 
-from conftest import dense_displace, dense_squeeze, squeezed_vacuum_amps
+from conftest import (
+    dense_displace,
+    dense_squeeze,
+    expm_multiply_apply,
+    squeezed_vacuum_amps,
+)
 
 KERNEL_TOL = 1e-12
 
@@ -92,6 +105,83 @@ def test_kernel_at_parameter_extremes():
         assert np.max(np.abs(got.amps - want)) <= KERNEL_TOL
 
 
+@given(
+    dim=st.sampled_from([64, 128, 256, 512, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.0, 1.5),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+@example(dim=1024, seed=11, rho=1.5, phase=2.5)
+@example(dim=64, seed=12, rho=1.5, phase=0.0)
+@settings(max_examples=25, deadline=None)
+def test_displace_matches_retired_kernel(dim, seed, rho, phase):
+    alpha = rho * complex(math.cos(phase), math.sin(phase))
+    _check_against_oracle(lambda s: displace(s, alpha),
+                          lambda amps: expm_multiply_apply(amps, 1, alpha),
+                          _narrow_random_state(dim, seed))
+
+
+@given(
+    dim=st.sampled_from([64, 128, 256, 512, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.0, 1.0),
+    theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+@example(dim=1024, seed=13, r=1.0, theta=5.0)
+@example(dim=64, seed=14, r=1.0, theta=0.0)
+@settings(max_examples=25, deadline=None)
+def test_squeeze_matches_retired_kernel(dim, seed, r, theta):
+    params = SqueezeParams(r=r, theta=theta)
+    _check_against_oracle(lambda s: squeeze(s, params),
+                          lambda amps: expm_multiply_apply(amps, 2, -0.5 * params.xi),
+                          _narrow_random_state(dim, seed))
+
+
+def test_squeeze_corner_at_dim_1024_matches_dense_oracle():
+    # the largest generator norm the property tests reach; one dense
+    # exponential at this size takes seconds, so only this corner is checked
+    state = _narrow_random_state(1024, 5)
+    got = squeeze(state, SqueezeParams(r=1.0, theta=5.0))
+    want = dense_squeeze(state.amps, 1.0, 5.0)
+    assert np.max(np.abs(got.amps - want)) <= KERNEL_TOL
+
+
+_SCIPY_GUARD = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import contractive
+from contractive.cli import main
+report = {"import": scipy_loaded()}
+with redirect_stdout(io.StringIO()):
+    report["build_code"] = main(["state", "build", "scs", "--alpha", "1+0.5i",
+                                 "--r", "0.6", "--theta", "1.1", "--dim", "256"])
+report["build"] = scipy_loaded()
+out = io.StringIO()
+with redirect_stdout(out):
+    report["identities_code"] = main(["verify", "identities"])
+report["identities_passed"] = json.loads(out.getvalue())["passed"]
+print(json.dumps(report))
+"""
+
+
+def test_state_construction_loads_no_scipy():
+    # the dense exponential, and scipy with it, loads only for the identity check
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert report["build_code"] == 0 and report["build"] == []
+    assert report["identities_code"] == 0 and report["identities_passed"]
+
+
 def test_builders_never_call_the_dense_exponential(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("state construction built a dense unitary")
@@ -107,8 +197,8 @@ def test_builders_never_call_the_dense_exponential(monkeypatch):
 
 
 def test_kernel_ignores_global_random_state():
-    # scipy's 1-norm estimator inside expm_multiply draws from np.random;
-    # the amplitudes must not depend on it
+    # the Taylor kernel draws no random numbers (its step count comes from
+    # the exact 1-norm); the amplitudes must not depend on np.random
     state = _narrow_random_state(1024, 3)
     params = SqueezeParams(r=1.0, theta=0.4)
     outputs = []

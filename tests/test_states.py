@@ -256,6 +256,16 @@ def test_displace_rejects_non_finite_alpha(alpha):
         displace(number_state(0, 32), alpha)
 
 
+@pytest.mark.parametrize("alpha", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
+def test_builders_reject_non_finite_alpha_before_sizing(alpha):
+    # with dim=None the cutoff is sized from |alpha|, which must be finite
+    params = SqueezeParams(r=0.1)
+    with pytest.raises(InvalidParameterError):
+        make_scs(alpha, params)
+    with pytest.raises(InvalidParameterError):
+        make_sgcs(alpha, params, number_state(0, 16))
+
+
 @pytest.mark.parametrize("lam,mean_x,mean_p", [
     (complex(math.inf, 0.0), 0.0, 0.0),
     (complex(1.0, math.nan), 0.0, 0.0),

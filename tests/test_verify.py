@@ -221,6 +221,12 @@ def test_overcompleteness_rejects_non_seed():
         check_overcompleteness(shifted, SqueezeParams(r=0.0), probe_dim=4)
 
 
+def test_overcompleteness_rejects_unknown_method_on_empty_probe():
+    with pytest.raises(InvalidParameterError):
+        check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
+                               probe_dim=0, method="bogus")
+
+
 def test_overcompleteness_empty_probe():
     report = check_overcompleteness(
         number_state(0, 16), SqueezeParams(r=0.0), probe_dim=0
