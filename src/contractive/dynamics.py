@@ -205,8 +205,12 @@ def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
     """Moments after direct wavefunction evolution (dimensionless quadratures).
 
     Oscillator: exact phase rotation exp(-i omega t m) per level. Free mass:
-    matrix exponential of the kinetic term at an enlarged cutoff (at least
-    ORACLE_BAND_FACTOR times the occupied band), tail-checked afterwards.
+    the kinetic propagator from the cached eigendecomposition of p^2 at an
+    enlarged cutoff (at least ORACLE_BAND_FACTOR times the occupied band),
+    tail-checked afterwards, so a state that outgrows the embedding raises
+    TruncationError. The eigenvectors are real, so both products run in real
+    arithmetic on the real and imaginary parts, and the first one reads only
+    the rows under the state's own dim (the embedding pads with zeros).
     Serves as the independent cross-check of the analytic propagation.
     """
     ensure_resolved(state)
@@ -217,11 +221,14 @@ def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
         raise InvalidParameterError(f"unknown system {system!r}")
 
     big = max(ORACLE_BAND_FACTOR * _occupied_band(state), state.dim, 64)
-    work = state.padded(big)
     evals, evecs = _p_squared_eig(big)
     # Kinetic phase in dimensionless variables: P^2/(2m) t / hbar
     # = (omega t / 2) p^2.
     tau = scales.omega * t
     phases = np.exp(-0.5j * tau * evals)
-    evolved = evecs @ (phases * (evecs.T @ work.amps))
+    # A complex vector viewed as (n, 2) real columns (real, imaginary part)
+    # goes through one real matrix product; the (n, 2) result views back.
+    parts = state.amps.view(float).reshape(-1, 2)
+    coef = (evecs[:state.dim].T @ parts).view(complex).ravel() * phases
+    evolved = (evecs @ coef.view(float).reshape(-1, 2)).view(complex).ravel()
     return summarize(FockVector(evolved))

@@ -26,6 +26,24 @@ class TruncationError(ContractiveError):
         )
 
 
+class CutoffReachedError(TruncationError):
+    """A displacement would carry the mean photon number into the top decile
+    of the ladder, where a resolved state keeps almost none of its weight.
+
+    Raised before the exponential is applied; `n_bar` is the exact mean
+    photon number the displaced state would have without a cutoff.
+    """
+
+    def __init__(self, n_bar: float, dim: int):
+        self.n_bar = n_bar
+        self.dim = dim
+        ContractiveError.__init__(
+            self,
+            f"state under-resolved at dim={dim}: displaced mean photon number "
+            f"{n_bar:.3e} reaches 0.9 dim = {0.9 * dim:.3e}",
+        )
+
+
 class OutOfRangeError(ContractiveError):
     """A level index or parameter falls outside its admissible range."""
 

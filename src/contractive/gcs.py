@@ -9,6 +9,7 @@ exact three-spaced lattice family.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -109,21 +110,42 @@ class SeedCheck:
     residual_a2: float
 
 
+@functools.lru_cache(maxsize=16)
+def index_weights(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only weights of the ladder index sums at cutoff dim.
+
+    (m, sqrt(m + 1), sqrt((m + 1)(m + 2))) over the levels each sum runs
+    across: m < dim for n_bar, m < dim - 1 for <a>, m < dim - 2 for <a^2>.
+    """
+    m = np.arange(dim, dtype=float)
+    tables = (m, np.sqrt(m[:-1] + 1.0), np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def ladder_sums(amps: np.ndarray) -> tuple[complex, complex]:
+    """(<a>, <a^2>) of an amplitude array taken as normalized; exact at any
+    cutoff."""
+    _, w1, w2 = index_weights(amps.size)
+    first = (amps[:-1].conj() * amps[1:] * w1).sum()
+    second = (amps[:-2].conj() * amps[2:] * w2).sum()
+    return complex(first), complex(second)
+
+
+def photon_sum(amps: np.ndarray) -> float:
+    """sum_m m |c_m|^2 of an amplitude array taken as normalized."""
+    return float((index_weights(amps.size)[0] * np.abs(amps) ** 2).sum())
+
+
 def ladder_moments(state: FockVector) -> tuple[complex, complex]:
     """(<a>, <a^2>) by direct index sums; exact at any cutoff."""
-    c = state.amps
-    m = np.arange(state.dim - 1)
-    first = np.sum(np.conjugate(c[:-1]) * c[1:] * np.sqrt(m + 1.0))
-    m2 = np.arange(state.dim - 2)
-    second = np.sum(
-        np.conjugate(c[:-2]) * c[2:] * np.sqrt((m2 + 1.0) * (m2 + 2.0))
-    )
-    return complex(first), complex(second)
+    return ladder_sums(state.amps)
 
 
 def mean_photon_number(state: FockVector) -> float:
     """<a^dag a> = sum_m m |c_m|^2 of a normalized state."""
-    return float(np.sum(np.arange(state.dim) * np.abs(state.amps) ** 2))
+    return photon_sum(state.amps)
 
 
 def check_phi(state: FockVector) -> SeedCheck:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TrivialStateError
 from .fock import FockVector, ensure_resolved
-from .gcs import ladder_moments, mean_photon_number
+from .gcs import ladder_sums, photon_sum
 from .states import SqueezeParams
 
 # Flags in classify() use this tolerance on variance/covariance comparisons.
@@ -74,9 +74,12 @@ class StateClass:
 def summarize(state: FockVector) -> MomentSummary:
     """Means-subtracted quadrature moments of a tail-safe state."""
     ensure_resolved(state)
-    state = state.normalized()
-    first, second = ladder_moments(state)
-    n_bar = mean_photon_number(state)
+    norm = state.norm()
+    if norm == 0.0:
+        raise TrivialStateError("cannot normalize the zero vector")
+    amps = state.amps / norm
+    first, second = ladder_sums(amps)
+    n_bar = photon_sum(amps)
 
     mean_x = math.sqrt(2.0) * first.real
     mean_p = math.sqrt(2.0) * first.imag

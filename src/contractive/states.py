@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gcs
-from .errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
+from .errors import (
+    CutoffReachedError,
+    InvalidDimensionError,
+    InvalidParameterError,
+    OutOfRangeError,
+)
 from .fock import FockVector, ensure_resolved, number_state
 
 
@@ -141,8 +146,26 @@ def _require_finite_alpha(alpha: complex) -> None:
 
 
 def displace(state: FockVector, alpha: complex) -> FockVector:
-    """Apply D(alpha); raises TruncationError if the result is under-resolved."""
+    """Apply D(alpha); raises TruncationError if the result is under-resolved.
+
+    Before the exponential, the exact mean photon number of D(alpha)|psi>,
+    n_bar + 2 Re(alpha* <a>) + |alpha|^2 from the input's index sums, is
+    held against the top decile of the ladder. A resolved output keeps all
+    but TAIL_MASS_TOL of its weight below 0.9 dim, so its mean cannot reach
+    that level; a displacement that does would wrap around the cutoff, and
+    is rejected up front (CutoffReachedError) however large alpha is.
+    """
     _require_finite_alpha(alpha)
+    ensure_resolved(state)
+    norm = state.norm()
+    if norm > 0.0:
+        alpha = complex(alpha)
+        amps = state.amps / norm
+        first, _ = gcs.ladder_sums(amps)
+        n_bar = (gcs.photon_sum(amps) + 2.0 * (alpha.conjugate() * first).real
+                 + abs(alpha) ** 2)
+        if n_bar >= 0.9 * state.dim:
+            raise CutoffReachedError(n_bar, state.dim)
     return _apply(state, 1, alpha)
 
 

@@ -120,6 +120,55 @@ def expm_multiply_apply(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     return expm_multiply(generator, amps)
 
 
+def index_sums_reference(c: np.ndarray):
+    """(<a>, <a^2>, n_bar) of an amplitude array by the index sums the package
+    ran before it cached its weight tables: weights rebuilt from arange on
+    every call."""
+    m = np.arange(c.size - 1)
+    first = complex(np.sum(np.conjugate(c[:-1]) * c[1:] * np.sqrt(m + 1.0)))
+    m2 = np.arange(c.size - 2)
+    second = complex(np.sum(
+        np.conjugate(c[:-2]) * c[2:] * np.sqrt((m2 + 1.0) * (m2 + 2.0))))
+    n_bar = float(np.sum(np.arange(c.size) * np.abs(c) ** 2))
+    return first, second, n_bar
+
+
+def summarize_reference(amps: np.ndarray):
+    """(var_x, var_p, cov, n_bar) by the path `summarize` took before it
+    stopped building a normalized copy of the state: normalize, then
+    `index_sums_reference`."""
+    c = np.asarray(amps, dtype=complex) / float(np.linalg.norm(amps))
+    first, second, n_bar = index_sums_reference(c)
+    mean_x = math.sqrt(2.0) * first.real
+    mean_p = math.sqrt(2.0) * first.imag
+    return (n_bar + 0.5 + second.real - mean_x**2,
+            n_bar + 0.5 - second.real - mean_p**2,
+            2.0 * second.imag - 2.0 * mean_x * mean_p,
+            n_bar)
+
+
+def free_mass_oracle_reference(amps: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i (tau / 2) p^2) applied to amps by the complex product the
+    free-mass oracle ran before it split real and imaginary parts.
+
+    The state is padded with zeros to max(4 * occupied band, dim, 64) levels,
+    p^2 is built from dense ladder matrices and diagonalized by eigh, and the
+    real eigenvector matrix multiplies the complex vector as a complex matrix.
+    Returns the evolved amplitudes at the padded cutoff.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    occupied = np.nonzero(np.abs(amps) > 1e-13)[0]
+    band = int(occupied[-1]) + 1 if occupied.size else 1
+    big = max(4 * band, amps.size, 64)
+    work = np.zeros(big, dtype=complex)
+    work[:amps.size] = amps
+    a = dense_ladder(big)
+    p = (a - a.conj().T) / (1j * np.sqrt(2))
+    evals, evecs = np.linalg.eigh((p @ p).real)
+    phases = np.exp(-0.5j * tau * evals)
+    return evecs @ (phases * (evecs.T @ work))
+
+
 # np.trapz was renamed np.trapezoid in numpy 2.0.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 

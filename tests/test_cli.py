@@ -361,6 +361,24 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["n_bar"] == 0.0
 
 
+@pytest.mark.parametrize("alpha", ["40", "100000"])
+def test_displacement_reaching_cutoff_exits_1_at_once(alpha):
+    # before the up-front check, alpha 40 printed a wrapped-around state
+    # (n_bar 63.75 instead of 1,600) and alpha 100000 ran for minutes
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contractive.cli", "state", "build", "coherent",
+         "--alpha", alpha, "--dim", "256"],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: state under-resolved")
+
+
 def _assert_usage_error(code, err):
     assert code == 2
     lines = err.strip().splitlines()

@@ -3,24 +3,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractive import (
+    FockVector,
     InvalidParameterError,
     MomentSummary,
     NotContractiveError,
     PhysicalScales,
     SqueezeParams,
+    TruncationError,
     contraction_window,
     evolve_free_mass,
     evolve_oscillator,
     lattice_phi,
     make_scs,
     number_state,
+    random_state,
     rql_band,
     schrodinger_oracle,
     scs_predicted_moments,
     summarize,
 )
+
+from conftest import free_mass_oracle_reference
 
 HBAR1 = PhysicalScales()
 
@@ -230,6 +237,26 @@ def test_oracle_free_mass_preserves_momentum_moments():
     before = summarize(state)
     after = schrodinger_oracle(state, "free-mass", HBAR1, 1.7)
     assert abs(after.var_p - before.var_p) < 1e-7
+
+
+@given(
+    dim=st.integers(16, 128),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 1.42),
+)
+@settings(max_examples=40, deadline=None)
+def test_free_mass_oracle_matches_retired_complex_product(dim, seed, t):
+    state = random_state(dim, np.random.default_rng(seed))
+    got = schrodinger_oracle(state, "free-mass", HBAR1, t)
+    want = summarize(FockVector(free_mass_oracle_reference(state.amps, t)))
+    for name in ("var_x", "var_p", "cov", "n_bar"):
+        assert abs(getattr(got, name) - getattr(want, name)) < 1e-12, name
+
+
+def test_free_mass_oracle_rejects_outgrown_embedding():
+    state = random_state(64, np.random.default_rng(3))
+    with pytest.raises(TruncationError):
+        schrodinger_oracle(state, "free-mass", HBAR1, 3.0)
 
 
 def test_oracle_unknown_system():

@@ -21,9 +21,9 @@ from contractive import (
     solve_phi_n3,
     summarize,
 )
-from contractive.gcs import ladder_moments
+from contractive.gcs import index_weights, ladder_moments, mean_photon_number
 
-from conftest import coherent_amps, ladder_moments_direct
+from conftest import coherent_amps, index_sums_reference, ladder_moments_direct
 
 
 def test_spec_validation():
@@ -50,6 +50,25 @@ def test_ladder_moments_match_direct_sums(rng):
     want = ladder_moments_direct(state.amps)
     assert abs(got[0] - want[0]) < 1e-12
     assert abs(got[1] - want[1]) < 1e-12
+
+
+@given(dim=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_index_sums_bit_identical_to_retired_path(dim, seed):
+    rng = np.random.default_rng(seed)
+    state = FockVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    first, second, n_bar = index_sums_reference(state.amps)
+    assert ladder_moments(state) == (first, second)
+    assert mean_photon_number(state) == n_bar
+
+
+def test_index_weights_cached_and_read_only():
+    tables = index_weights(64)
+    assert index_weights(64) is tables
+    assert [t.size for t in tables] == [64, 63, 62]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_check_phi_flags_coherent():

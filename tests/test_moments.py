@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractive import (
     FockVector,
     InvalidParameterError,
     MomentSummary,
     SqueezeParams,
+    TrivialStateError,
     TruncationError,
     classify,
     displace,
@@ -22,7 +25,7 @@ from contractive import (
     summarize,
 )
 
-from conftest import coherent_amps, dense_moments_oracle
+from conftest import coherent_amps, dense_moments_oracle, summarize_reference
 
 
 def test_vacuum_summary():
@@ -57,6 +60,31 @@ def test_summarize_subtracts_means():
 def test_summarize_rejects_unresolved():
     with pytest.raises(TruncationError):
         summarize(FockVector(coherent_amps(2.0, 8)))
+
+
+@given(
+    dim=st.integers(2, 512),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.1, 10.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_summarize_bit_identical_to_retired_path(dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    amps = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    amps[int(np.floor(0.9 * dim)):] = 0.0  # resolved, and not normalized
+    got = summarize(FockVector(amps))
+    assert (got.var_x, got.var_p, got.cov, got.n_bar) == summarize_reference(amps)
+
+
+def test_summarize_check_order():
+    # the zero vector passes the truncation check (its tail is empty) and is
+    # then refused as trivial; weight in the top decile fails truncation
+    with pytest.raises(TrivialStateError):
+        summarize(FockVector(np.zeros(16)))
+    amps = np.zeros(16, dtype=complex)
+    amps[-1] = 1.0
+    with pytest.raises(TruncationError):
+        summarize(FockVector(amps))
 
 
 def test_scs_closed_forms():

@@ -24,6 +24,7 @@ from contractive import (
     squeeze_operator,
     summarize,
 )
+from contractive.errors import CutoffReachedError
 
 from conftest import (
     coherent_amps,
@@ -108,6 +109,41 @@ def test_squeezed_vacuum_variance():
 def test_displace_raises_on_unresolved_output():
     with pytest.raises(TruncationError):
         displace(number_state(0, 16), 3.0)
+
+
+@pytest.mark.parametrize("dim", [64, 128, 256])
+def test_displacement_never_wraps_around_the_cutoff(dim):
+    # D(alpha)|0> has n_bar = |alpha|^2 exactly; past alpha ~ 1.4 sqrt(dim)
+    # the truncated exponential wraps weight back below the top decile and
+    # the tail check alone would pass a wrong state
+    rejected = []
+    for rho in np.arange(0.5, 60.01, 0.5):
+        for phase in (0.0, 2.1):
+            alpha = rho * complex(math.cos(phase), math.sin(phase))
+            try:
+                state = displace(number_state(0, dim), alpha)
+            except TruncationError:
+                rejected.append(rho)
+                continue
+            assert abs(summarize(state).n_bar - rho**2) < 1e-6, alpha
+    # both outcomes occur: the scan is not vacuous either way
+    assert math.sqrt(dim) / 4.0 < min(rejected) < 60.0
+
+
+def test_displacement_reaching_cutoff_is_rejected_up_front():
+    dim = 64
+    with pytest.raises(CutoffReachedError) as excinfo:
+        displace(number_state(0, dim), 1e5)
+    assert excinfo.value.n_bar == pytest.approx(1e10)
+    # the exact mean n_bar + 2 Re(alpha* <a>) + |alpha|^2 counts the input's
+    # own displacement: from alpha = 4 (n_bar 16), a step of -4 returns to
+    # the vacuum while a step of +4 reaches n_bar 64 >= 0.9 * 64, though
+    # |alpha|^2 = 16 alone would not
+    start = displace(number_state(0, dim), 4.0)
+    assert summarize(displace(start, -4.0)).n_bar < 1e-9
+    with pytest.raises(CutoffReachedError) as excinfo:
+        displace(start, 4.0)
+    assert excinfo.value.n_bar == pytest.approx(64.0)
 
 
 def test_make_scs_auto_dim_resolved():
