@@ -26,6 +26,9 @@ from .errors import (
 # the ladder; states above it are rejected as under-resolved.
 TAIL_MASS_TOL = 1e-8
 
+# Smallest cutoff at which random_state's envelope keeps the top decile empty.
+RANDOM_STATE_MIN_DIM = 8
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -134,10 +137,15 @@ def number_state(n: int, dim: int) -> FockVector:
 def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     """Random normalized state with a Gaussian amplitude envelope.
 
-    The envelope keeps the top decile of the ladder essentially empty so the
-    state is safe against truncation artifacts: the populated band has scale
-    max(2, dim // 5).
+    The populated band has scale max(2, dim // 5), which keeps the top decile
+    of the ladder essentially empty (envelope weight at most e^-24.5 there)
+    from dim 8 up. Smaller cutoffs cannot hold a random state below
+    TAIL_MASS_TOL and raise InvalidDimensionError.
     """
+    if dim < RANDOM_STATE_MIN_DIM:
+        raise InvalidDimensionError(
+            f"random states need dim >= {RANDOM_STATE_MIN_DIM}, got {dim}"
+        )
     envelope = np.exp(-((np.arange(dim) / max(2, dim // 5)) ** 2))
     amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * envelope
     return FockVector(amps).normalized()

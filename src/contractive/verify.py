@@ -13,6 +13,17 @@ truncation error and a million samples stay cheap. The ladder recurrence
 sqrt(j+1)<j+1|D|m> = alpha<j|D|m> + sqrt(m)<j|D|m-1> is not used: it is
 unstable upward (errors above 1e5 at probe 32, dim 128, |alpha| = radius_cap/2).
 
+The element loop runs chi's support levels m outer and probe rows j inner,
+so each row still sums its terms in ascending m. `displaced_block` works
+through the samples in column passes of _SUBCHUNK and computes each angular
+factor e^{i d (pi - phi)} or e^{i d phi} once per pass: the m >= j factors in
+a window of the probe_dim offsets the current level needs, the m < j ones
+(d < probe_dim) for the whole pass. The kernel must stay bit-identical to
+the retired per-pair kernel kept in tests/conftest.py
+(`displaced_block_reference`, `radial_marginal_reference`); the tests
+compare them with np.array_equal, so any change of operand order, of the
+factor expression or of the summation order shows.
+
 `check_conjugation_identities` is the one check built on dense truncated
 operators: the identities are statements about the operators themselves, so
 it exponentiates dense generators through `states.expm`, which loads the
@@ -44,6 +55,11 @@ IDENTITY_TOL = 1e-8
 
 # Band-violation slack for rigorous-bound sweeps.
 BAND_SLACK = 1e-9
+
+# Samples per pass of displaced_block. Columns are independent, so the split
+# changes no bits; it bounds the angular-factor cache and the radial
+# temporaries (wider passes raised peak memory and ran no faster).
+_SUBCHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -194,11 +210,12 @@ def _laguerre(order: int, offset: float, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_elements(chi: np.ndarray, rho: np.ndarray, probe_dim: int):
-    """Yield (j, m, R_jm(rho)) for probe rows j and chi's support levels m.
+    """Yield (j, m, R_jm(rho)) for chi's support levels m, ascending, and
+    within each level the probe rows j < probe_dim.
 
     R_jm is the real radial part of <j|D(rho e^{i phi})|m>; the element is
     R_jm e^{i d (pi - phi)} for m >= j and R_jm e^{i d phi} for m < j,
-    with d = |m - j|.
+    with d = |m - j|. Every row j still receives its terms in ascending m.
     """
     support = np.nonzero(np.abs(chi) > 1e-13)[0]
     y = rho**2
@@ -209,15 +226,50 @@ def _radial_elements(chi: np.ndarray, rho: np.ndarray, probe_dim: int):
     log_rho = np.log(np.where(zero, 1.0, rho))
     top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
-    for j in range(probe_dim):
-        for m in support:
-            d = abs(int(m) - j)
-            lo = min(int(m), j)
+    for m in support:
+        m = int(m)
+        for j in range(probe_dim):
+            d = abs(m - j)
+            lo = min(m, j)
             mag = np.exp(0.5 * (lgam[lo] - lgam[lo + d]) + d * log_rho - 0.5 * y)
             elem = mag * _laguerre(lo, float(d), y)
             if any_zero:
                 elem = np.where(zero, 1.0 if d == 0 else 0.0, elem)
-            yield j, int(m), elem
+            yield j, m, elem
+
+
+def _displace_columns(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
+                      out: np.ndarray) -> None:
+    """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas)).
+
+    Levels m only rise, so no later level reads an m >= j factor with
+    d < m - (probe_dim - 1); those are dropped as the window slides.
+    """
+    phi = np.angle(alphas)
+    turn = np.pi - phi
+    ahead: dict[int, np.ndarray] = {}
+    behind: dict[int, np.ndarray] = {}
+    prod = np.empty(alphas.size, dtype=complex)
+    term = np.empty(alphas.size, dtype=complex)
+    for j, m, elem in _radial_elements(chi, np.abs(alphas), probe_dim):
+        d = abs(m - j)
+        if m >= j:
+            if d not in ahead:
+                floor = m - (probe_dim - 1)
+                ahead = {k: v for k, v in ahead.items() if k >= floor}
+                ahead[d] = np.exp(1j * d * turn)
+            factor = ahead[d]
+        else:
+            if d not in behind:
+                behind[d] = np.exp(1j * d * phi)
+            factor = behind[d]
+        # chi[m] * (elem * factor) with operands in that order and no output
+        # aliasing an input: numpy's complex multiply rounds differently with
+        # the operands swapped (prod *= chi[m]) and for a one-element
+        # in-place call
+        np.multiply(elem, factor, out=prod)
+        np.multiply(chi[m], prod, out=term)
+        out[j] += term
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -228,11 +280,10 @@ def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.n
     """
     chi = np.asarray(chi, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
-    phi = np.angle(alphas)
     out = np.zeros((probe_dim, alphas.size), dtype=complex)
-    for j, m, elem in _radial_elements(chi, np.abs(alphas), probe_dim):
-        angle_factor = np.exp(1j * abs(m - j) * (np.pi - phi if m >= j else phi))
-        out[j] += chi[m] * (elem * angle_factor)
+    for start in range(0, alphas.size, _SUBCHUNK):
+        cols = slice(start, start + _SUBCHUNK)
+        _displace_columns(chi, alphas[cols], probe_dim, out[:, cols])
     return out
 
 
@@ -304,6 +355,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         )
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    if radius is not None and not (math.isfinite(radius) and radius > 0.0):
+        raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
     require_seed(phi)
     if probe_dim == 0:
         # empty probe block: nothing to integrate, identically satisfied

@@ -14,7 +14,7 @@ from contractive import (
     random_state,
 )
 from contractive.errors import DimensionMismatchError, TrivialStateError
-from contractive.fock import destroy
+from contractive.fock import RANDOM_STATE_MIN_DIM, destroy
 
 from conftest import coherent_amps, dense_quadratures, expect
 
@@ -150,3 +150,16 @@ def test_random_state_reproducible():
     a = random_state(32, np.random.default_rng(3))
     b = random_state(32, np.random.default_rng(3))
     assert np.array_equal(a.amps, b.amps)
+
+
+def test_random_state_resolved_or_rejected():
+    # below the floor the envelope cannot keep a random state resolved
+    # (every draw at dims 2-5 used to fail ensure_resolved), so it is refused
+    for dim in range(2, 17):
+        rng = np.random.default_rng(dim)
+        if dim < RANDOM_STATE_MIN_DIM:
+            with pytest.raises(InvalidDimensionError):
+                random_state(dim, rng)
+            continue
+        for _ in range(200):
+            ensure_resolved(random_state(dim, rng))

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +25,18 @@ from contractive import (
     safe_block,
 )
 from contractive.verify import (
+    _SUBCHUNK,
     _radial_marginal,
     choose_radius,
     displaced_block,
     radius_cap,
 )
 
-from conftest import coherent_amps
+from conftest import (
+    coherent_amps,
+    displaced_block_reference,
+    radial_marginal_reference,
+)
 
 
 def test_conjugation_trivial_case():
@@ -138,6 +145,66 @@ def test_displaced_block_stable_at_radius_cap():
         assert np.max(np.abs(got - want[:probe])) < 1e-13
 
 
+def _kernel_chis(rng):
+    """A random chi with gaps in its support, and a one-level chi."""
+    chi = rng.normal(size=20) + 1j * rng.normal(size=20)
+    chi[[1, 4, 5, 9, 10, 11, 15]] = 0.0
+    single = np.zeros(20, dtype=complex)
+    single[3] = np.exp(0.4j)
+    return chi / np.linalg.norm(chi), single
+
+
+def _kernel_alphas(rng, count):
+    rho = 4.0 * np.sqrt(rng.random(count))
+    rho[3::7] = 0.0
+    return rho * np.exp(2j * np.pi * rng.random(count))
+
+
+@pytest.mark.parametrize("probe", range(1, 9))
+def test_displaced_block_bit_identical_to_retired_kernel(probe):
+    rng = np.random.default_rng(100 + probe)
+    chis = _kernel_chis(rng)
+    for count in (0, 1, _SUBCHUNK, _SUBCHUNK + 1, 62_500):
+        alphas = _kernel_alphas(rng, count)
+        for chi in chis:
+            got = displaced_block(chi, alphas, probe)
+            assert np.array_equal(got, displaced_block_reference(chi, alphas, probe))
+    # every sample at the origin
+    alphas = np.zeros(5, dtype=complex)
+    for chi in chis:
+        got = displaced_block(chi, alphas, probe)
+        assert np.array_equal(got, displaced_block_reference(chi, alphas, probe))
+
+
+@pytest.mark.parametrize("probe", range(1, 9))
+def test_radial_marginal_bit_identical_to_retired_kernel(probe, monkeypatch):
+    rng = np.random.default_rng(200 + probe)
+    for chi in _kernel_chis(rng):
+        cap = radius_cap(probe, float(np.sum(np.arange(20) * np.abs(chi) ** 2)), 0.0)
+        rho = np.linspace(0.0, cap, 2001)
+        assert np.array_equal(_radial_marginal(chi, rho, probe),
+                              radial_marginal_reference(chi, rho, probe))
+        got = choose_radius(chi, probe, 5e-4, cap)
+        monkeypatch.setattr("contractive.verify._radial_marginal",
+                            radial_marginal_reference)
+        want = choose_radius(chi, probe, 5e-4, cap)
+        monkeypatch.undo()
+        assert got == want
+
+
+def test_conftest_oracles_do_not_import_the_package():
+    # the oracles are independent cross-checks only while they share no code
+    # with the package; a retired kernel imported back from src/ would not be
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert not [m for m in imported if m.split(".")[0] == "contractive"], imported
+
+
 def test_radial_marginal_at_zero_radius():
     # D(0) = I, so the probe-row masses at rho = 0 are |chi_j|^2
     chi = np.zeros(16, dtype=complex)
@@ -212,6 +279,13 @@ def test_overcompleteness_argument_validation():
         check_overcompleteness(phi, SqueezeParams(r=0.0), budget=0)
     with pytest.raises(InvalidDimensionError):
         check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=40, dim=64)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -3.0])
+def test_overcompleteness_rejects_bad_radius(radius):
+    with pytest.raises(InvalidParameterError):
+        check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
+                               probe_dim=4, budget=100, radius=radius)
 
 
 def test_overcompleteness_rejects_non_seed():
