@@ -46,12 +46,10 @@ from .moments import (
 from .states import (
     SqueezeParams,
     displace,
-    displacement_operator,
     extremal_fock,
     make_scs,
     make_sgcs,
     squeeze,
-    squeeze_operator,
 )
 from .dynamics import (
     ContractionWindow,
@@ -87,7 +85,7 @@ __all__ = [
     "MomentSummary", "StateClass", "classify", "lambda_from_moments",
     "scs_predicted_moments", "sgcs_predicted_moments", "summarize",
     "SqueezeParams", "displace", "extremal_fock", "make_scs", "make_sgcs",
-    "squeeze", "displacement_operator", "squeeze_operator",
+    "squeeze",
     "ContractionWindow", "EvolutionTrace", "PhysicalScales",
     "contraction_window", "evolve_free_mass", "evolve_oscillator",
     "rql_band", "schrodinger_oracle",

@@ -273,10 +273,11 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
 
 def lattice_phi_for_nbar(target: float, shells: int,
                          dim: int | None = None) -> PhiState:
-    """Lattice seed with mean photon number tuned to a target (within 1e-9).
+    """Lattice seed with mean photon number equal to a target.
 
-    Bisects the mixing parameter q in weights (1-q, 0, .., 0, q), for which
-    n_bar(q) = 3 * shells * q is monotone. Target must lie in [0, 3*shells].
+    Mixes levels 0 and 3 * shells with weights (1-q, 0, .., 0, q), for which
+    n_bar = 3 * shells * q exactly, so q = target / (3 * shells). Target must
+    lie in [0, 3*shells].
     """
     if shells < 1:
         raise InvalidSpecError(f"shells must be >= 1, got {shells}")
@@ -285,21 +286,8 @@ def lattice_phi_for_nbar(target: float, shells: int,
         raise OutOfRangeError(
             f"target n_bar {target} outside attainable [0, {top_nbar}]"
         )
-
-    def build(q: float) -> PhiState:
-        w = np.zeros(shells + 1)
-        w[0] = 1.0 - q
-        w[-1] = q
-        return lattice_phi(w, dim)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        got = build(mid).n_bar
-        if abs(got - target) < 1e-9:
-            return build(mid)
-        if got < target:
-            lo = mid
-        else:
-            hi = mid
-    return build(0.5 * (lo + hi))
+    q = target / top_nbar
+    w = np.zeros(shells + 1)
+    w[0] = 1.0 - q
+    w[-1] = q
+    return lattice_phi(w, dim)

@@ -7,9 +7,9 @@ dynamics layers.
 Displacement and squeezing are exponentials of the banded generator
 G = c a^dag^k - c* a^k. Builders apply exp(G) to the vector with a truncated
 Taylor series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011), sec. 3) whose matrix-vector product is an index shift, so no builder
-forms a dim x dim array. The dense D and S (`displacement_operator`,
-`squeeze_operator`) exist for the operator-identity check only.
+(2011), sec. 3) whose matrix-vector product is an index shift, so nothing
+here forms a dim x dim array. The unchecked core `_expm_band` also takes a
+block of columns; the operator-identity check in `verify` runs on it.
 """
 
 from __future__ import annotations
@@ -73,48 +73,26 @@ def _band(k: int, c: complex, dim: int) -> np.ndarray:
     return complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
 
 
-def expm(matrix: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential, for the operator-identity check only.
+def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
+    """exp(G) applied to amps, G = c a^dag^k - c* a^k; no truncation check.
 
-    scipy is imported here, on first use, so building states never loads it.
+    amps is a (dim,) vector or a (dim, n) block of columns. The step count
+    comes from the exact 1-norm of G (its largest absolute column sum). Each
+    step sums the Taylor series of exp(G/steps) until two consecutive terms
+    fall below u times the partial sum (Al-Mohy & Higham's stopping test),
+    with maxima taken over the whole block.
     """
-    from scipy.linalg import expm as dense_expm
-
-    return dense_expm(matrix)
-
-
-def _dense_generator(k: int, c: complex, dim: int) -> np.ndarray:
+    dim = amps.shape[0]
     band = _band(k, c, dim)
-    return np.diag(band, -k) - np.diag(band.conj(), k)
-
-
-def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    """Dense D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    return expm(_dense_generator(1, alpha, dim))
-
-
-def squeeze_operator(params: SqueezeParams, dim: int) -> np.ndarray:
-    """Dense S(xi) = exp((xi* a^2 - xi a^dag^2)/2) on the truncated space."""
-    return expm(_dense_generator(2, -0.5 * params.xi, dim))
-
-
-def _apply(state: FockVector, k: int, c: complex) -> FockVector:
-    """exp(G) applied to the state's amplitudes, G = c a^dag^k - c* a^k.
-
-    The step count comes from the exact 1-norm of G (its largest absolute
-    column sum). Each step sums the Taylor series of exp(G/steps) until two
-    consecutive terms fall below u times the partial sum (Al-Mohy & Higham's
-    stopping test).
-    """
-    ensure_resolved(state)
-    band = _band(k, c, state.dim)
-    col_sums = np.zeros(state.dim)
+    col_sums = np.zeros(dim)
     col_sums[:-k] += np.abs(band)
     col_sums[k:] += np.abs(band)
     steps = max(1, math.ceil(float(col_sums.max()) / _STEP_NORM))
     band = band / steps
+    if amps.ndim == 2:
+        band = band[:, None]
     band_conj = band.conj()
-    out = state.amps.astype(complex)
+    out = amps.astype(complex)
     term = np.empty_like(out)
     shifted = np.empty_like(out)
     tol = np.finfo(float).eps / 2.0
@@ -135,7 +113,14 @@ def _apply(state: FockVector, k: int, c: complex) -> FockVector:
                 break
             prev = size
             degree += 1
-    result = FockVector(out)
+    return out
+
+
+def _apply(state: FockVector, k: int, c: complex) -> FockVector:
+    """exp(G) applied to a resolved state; raises TruncationError if the
+    result is under-resolved."""
+    ensure_resolved(state)
+    result = FockVector(_expm_band(state.amps, k, c))
     ensure_resolved(result)
     return result
 

@@ -24,10 +24,12 @@ the retired per-pair kernel kept in tests/conftest.py
 compare them with np.array_equal, so any change of operand order, of the
 factor expression or of the summation order shows.
 
-`check_conjugation_identities` is the one check built on dense truncated
-operators: the identities are statements about the operators themselves, so
-it exponentiates dense generators through `states.expm`, which loads the
-dense exponential on first use.
+`check_conjugation_identities` checks the operator identities on the kernel
+that builds every state, `states._expm_band`, applied to the basis columns of
+the truncation-safe block at once: a and the truncated a^dag are index
+shifts, and D^dag = D(-alpha), S^dag = S(-xi) hold exactly at any cutoff.
+The kernel is the unchecked core, because the cutoff's effect on those
+columns is the residual the check reports.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidParameterError
-from .fock import FockVector, destroy, random_state
+from .fock import FockVector, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
-from .states import (SqueezeParams, displacement_operator, expm, make_scs, squeeze,
-                     squeeze_operator)
+from .states import SqueezeParams, _expm_band, make_scs, squeeze
 from .dynamics import PhysicalScales, evolve_free_mass, evolve_oscillator
 
 # Identity-resolution deviation target for the default Monte Carlo budget of
@@ -105,8 +106,31 @@ class OvercompletenessReport:
         return asdict(self)
 
 
+def _require_budget(budget) -> int:
+    """budget as a Python int; InvalidParameterError unless it is an integer
+    (bool excluded, numpy integers accepted) of at least 1."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise InvalidParameterError(f"budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    return int(budget)
+
+
 def _block_norm(matrix: np.ndarray, block: int) -> float:
     return float(np.linalg.norm(matrix[:block, :block], 2))
+
+
+def _ladder(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a v, a^dag v) by index shift, for a (dim,) vector or (dim, n) columns.
+
+    a^dag drops the top level exactly as the truncated dense matrix does.
+    """
+    sqrt_m = np.sqrt(np.arange(1, v.shape[0])).reshape((-1,) + (1,) * (v.ndim - 1))
+    lowered = np.zeros_like(v)
+    raised = np.zeros_like(v)
+    lowered[:-1] = sqrt_m * v[1:]
+    raised[1:] = sqrt_m * v[:-1]
+    return lowered, raised
 
 
 def safe_block(dim: int, r: float) -> int:
@@ -134,8 +158,6 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
     """
     if dim < 32:
         raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")
-    a = destroy(dim)
-    adag = a.conj().T
     if block is None:
         block = safe_block(dim, params.r)
     if not 2 <= block <= dim:
@@ -145,17 +167,28 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
         )
 
     mu, nu = params.mu, params.nu
-    b = mu * a + nu * adag
     beta = mu * alpha + nu * np.conjugate(alpha)
 
-    d_a = displacement_operator(alpha, dim)
-    d_b = expm(beta * b.conj().T - np.conjugate(beta) * b)
-    s = squeeze_operator(params, dim)
-    eye = np.eye(dim)
+    def b_of(v):
+        lowered, raised = _ladder(v)
+        return mu * lowered + nu * raised
 
-    r_disp = _block_norm(d_a.conj().T @ a @ d_a - (a + alpha * eye), block)
-    r_bog = _block_norm(d_b.conj().T @ b @ d_b - (b + beta * eye), block)
-    r_sq = _block_norm(s @ a @ s.conj().T - b, block)
+    # beta b^dag - beta* b = c a^dag - c* a with c = beta mu - beta* nu, the
+    # same truncated matrix, so D(beta, b) is the plain displacement band.
+    c = beta * mu - np.conjugate(beta) * nu
+    cols = np.eye(dim, block, dtype=complex)
+    a_cols, _ = _ladder(cols)
+    b_cols = b_of(cols)
+    d_a = _expm_band(cols, 1, alpha)
+    d_b = _expm_band(cols, 1, c)
+    s_dag = _expm_band(cols, 2, 0.5 * params.xi)
+    conj_a = _expm_band(_ladder(d_a)[0], 1, -alpha)             # D^dag a D
+    conj_b = _expm_band(b_of(d_b), 1, -c)                       # D_b^dag b D_b
+    sq_a = _expm_band(_ladder(s_dag)[0], 2, -0.5 * params.xi)  # S a S^dag
+
+    r_disp = _block_norm(conj_a - (a_cols + alpha * cols), block)
+    r_bog = _block_norm(conj_b - (b_cols + beta * cols), block)
+    r_sq = _block_norm(sq_a - b_cols, block)
     r_eq = _block_norm(d_b - d_a, block)
     return ConjugationReport(
         displacement=r_disp,
@@ -180,11 +213,7 @@ def audit_extremal(state: FockVector) -> ExtremalAudit:
     state = state.normalized()
     psi = state.amps
     mean_a, _ = ladder_moments(state)
-    # a and the truncated a^dag by index shift; a^dag drops the top level
-    # exactly as its dense matrix does.
-    sqrt_m = np.sqrt(np.arange(1, state.dim))
-    a_psi = np.concatenate([sqrt_m * psi[1:], [0.0]])
-    adag_psi = np.concatenate([[0.0], sqrt_m * psi[:-1]])
+    a_psi, adag_psi = _ladder(psi)
     # p - i lam x = -i ((1 + lam) a + (lam - 1) a^dag) / sqrt(2), and
     # <p> - i lam <x> = sqrt(2) (Im<a> - i lam Re<a>).
     shifted = -1j * ((1.0 + lam) * a_psi + (lam - 1.0) * adag_psi) / math.sqrt(2.0)
@@ -353,8 +382,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         raise InvalidDimensionError(
             f"probe_dim {probe_dim} must lie in [0, dim/4 = {dim // 4}]"
         )
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    budget = _require_budget(budget)
     if radius is not None and not (math.isfinite(radius) and radius > 0.0):
         raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
     require_seed(phi)
@@ -546,8 +574,7 @@ SUITES = {
 
 def run_suite(name: str, budget: int, seed: int) -> dict:
     """Run one named suite, or all of them, returning a JSON-ready report."""
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    budget = _require_budget(budget)
     if name == "all":
         # Saturation builds and audits a squeezed coherent state per draw
         # and rql runs two propagations per state; keep their state counts

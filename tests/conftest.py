@@ -110,6 +110,33 @@ def dense_squeeze(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
     return expm(0.5 * (np.conjugate(xi) * a2 - xi * a2.conj().T)) @ amps
 
 
+def conjugation_residuals_dense(alpha: complex, r: float, theta: float,
+                                dim: int, block: int) -> tuple[float, ...]:
+    """The four residuals of the operator-identity check from dense truncated
+    matrices and scipy's expm, the way the package computed them before the
+    check ran on its own kernel: (displacement, bogoliubov_displacement,
+    squeeze_conjugation, displacement_equality), each the 2-norm of the
+    top-left block x block corner."""
+    a = dense_ladder(dim)
+    adag = a.conj().T
+    xi = r * np.exp(1j * theta)
+    mu, nu = math.cosh(r), np.exp(1j * theta) * math.sinh(r)
+    b = mu * a + nu * adag
+    beta = mu * alpha + nu * np.conjugate(alpha)
+    d_a = expm(alpha * adag - np.conjugate(alpha) * a)
+    d_b = expm(beta * b.conj().T - np.conjugate(beta) * b)
+    s = expm(0.5 * (np.conjugate(xi) * (a @ a) - xi * (adag @ adag)))
+    eye = np.eye(dim)
+
+    def norm(matrix):
+        return float(np.linalg.norm(matrix[:block, :block], 2))
+
+    return (norm(d_a.conj().T @ a @ d_a - (a + alpha * eye)),
+            norm(d_b.conj().T @ b @ d_b - (b + beta * eye)),
+            norm(s @ a @ s.conj().T - b),
+            norm(d_b - d_a))
+
+
 def expm_multiply_apply(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     """exp(c a^dag^k - c* a^k) @ amps by scipy's expm_multiply on a sparse band.
 

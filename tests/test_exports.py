@@ -1,12 +1,14 @@
 import contractive
 
 # Retired from the public API: moments come from ladder index sums, extremal
-# packets are squeezed coherent states, and the dense and position-grid test
-# oracles live in tests/conftest.py.
+# packets are squeezed coherent states, the identity check runs on the
+# state-building kernel, and the dense and position-grid test oracles live in
+# tests/conftest.py.
 REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
            "CutoffReport", "cutoff_report",
            "GRID_POINTS", "GRID_SPAN", "default_grid", "hermite_basis",
-           "wavefunction", "project_to_fock", "extremal_state"]
+           "wavefunction", "project_to_fock", "extremal_state",
+           "displacement_operator", "squeeze_operator"]
 
 
 def test_all_names_resolve():

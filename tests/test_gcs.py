@@ -202,6 +202,20 @@ def test_lattice_nbar_targeting():
         lattice_phi_for_nbar(-0.1, shells=1)
 
 
+def test_lattice_nbar_closed_form():
+    # n_bar = 3 * shells * q holds exactly, so one build hits the target
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        shells = int(rng.integers(1, 4))
+        target = float(rng.uniform(0.0, 3.0 * shells))
+        assert abs(lattice_phi_for_nbar(target, shells).n_bar - target) < 1e-12
+    for shells in (1, 2, 3):
+        for target in (0.0, 3.0 * shells):
+            assert abs(lattice_phi_for_nbar(target, shells).n_bar - target) < 1e-12
+    with pytest.raises(InvalidSpecError):
+        lattice_phi_for_nbar(0.0, shells=0)
+
+
 def test_displaced_seed_variance_theorem(rng):
     # Displacing any seed leaves var_x = var_p = n_bar + 1/2 and cov = 0
     # at every alpha; this is the defining property the solver targets.

@@ -6,11 +6,13 @@ the sparse `expm_multiply` kernel the package used before its own Taylor
 loop is a second reference.
 """
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +21,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contractive
-import contractive.states as states_module
 from contractive import (
     FockVector,
     InvalidDimensionError,
     SqueezeParams,
     TruncationError,
     displace,
-    displacement_operator,
     lattice_phi,
     make_scs,
     make_sgcs,
     number_state,
     squeeze,
-    squeeze_operator,
 )
+from contractive.states import _band, _expm_band
 
 from conftest import (
     dense_displace,
@@ -164,12 +164,13 @@ out = io.StringIO()
 with redirect_stdout(out):
     report["identities_code"] = main(["verify", "identities"])
 report["identities_passed"] = json.loads(out.getvalue())["passed"]
+report["identities"] = scipy_loaded()
 print(json.dumps(report))
 """
 
 
 def test_state_construction_loads_no_scipy():
-    # the dense exponential, and scipy with it, loads only for the identity check
+    # neither building states nor checking the operator identities loads scipy
     root = str(Path(contractive.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
@@ -180,17 +181,36 @@ def test_state_construction_loads_no_scipy():
     assert report["import"] == []
     assert report["build_code"] == 0 and report["build"] == []
     assert report["identities_code"] == 0 and report["identities_passed"]
+    assert report["identities"] == []
 
 
-def test_builders_never_call_the_dense_exponential(monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("state construction built a dense unitary")
+def test_package_imports_no_scipy():
+    package = Path(contractive.__file__).resolve().parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module or ""))
+    assert ("states.py", "numpy") in imported  # the walk does see imports
+    assert [m for m in imported if m[1].split(".")[0] == "scipy"] == []
 
-    monkeypatch.setattr(states_module, "expm", refuse)
+
+def test_builders_never_call_the_dense_exponential():
+    # a dense unitary at dim 1024 is 16 MiB; the vector kernel holds a few
+    # vectors and one band, so its peak allocation stays far below that
     params = SqueezeParams(r=0.8, theta=1.3)
-    scs = make_scs(1.2 - 0.4j, params, dim=256)
-    sgcs = make_sgcs(0.5j, params, lattice_phi([1.0, 1.0]).state, dim=256)
-    assert scs.dim == sgcs.dim == 256
+    dim = 1024
+    tracemalloc.start()
+    try:
+        scs = make_scs(1.2 - 0.4j, params, dim=dim)
+        sgcs = make_sgcs(0.5j, params, lattice_phi([1.0, 1.0]).state, dim=dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim  # bytes: a sixteenth of one dense complex matrix
+    assert scs.dim == sgcs.dim == dim
     vac = squeeze(number_state(0, 256), params)
     want = squeezed_vacuum_amps(params.r, params.theta, 256)
     assert np.max(np.abs(vac.amps - want)) < 1e-12
@@ -226,9 +246,26 @@ def test_sgcs_seed_with_tiny_amplitudes():
         assert np.max(np.abs(got.amps - want.amps)) < 1e-14
 
 
-def test_dense_operators_reject_dim_below_two():
+def test_kernel_rejects_dim_below_two():
     for dim in (0, 1):
-        with pytest.raises(InvalidDimensionError):
-            displacement_operator(0.5, dim)
-        with pytest.raises(InvalidDimensionError):
-            squeeze_operator(SqueezeParams(r=0.3), dim)
+        for k, c in ((1, 0.5), (2, -0.15)):
+            with pytest.raises(InvalidDimensionError):
+                _band(k, c, dim)
+            with pytest.raises(InvalidDimensionError):
+                _expm_band(np.ones(dim, dtype=complex), k, c)
+            with pytest.raises(InvalidDimensionError):
+                _expm_band(np.ones((dim, 3), dtype=complex), k, c)
+
+
+def test_block_kernel_matches_column_by_column():
+    # the block path broadcasts the band over columns; each column must
+    # agree with the vector path, whose arithmetic builds every state
+    rng = np.random.default_rng(21)
+    for dim, k, c in ((64, 1, 1.1 - 0.7j), (128, 2, -0.35 * np.exp(1.1j)),
+                      (96, 2, 0.2 * np.exp(4.0j)), (32, 1, 0.0)):
+        cols = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        cols[dim // 2:] = 0.0
+        got = _expm_band(cols, k, c)
+        assert got.shape == cols.shape
+        for n in range(cols.shape[1]):
+            assert np.max(np.abs(got[:, n] - _expm_band(cols[:, n], k, c))) <= 1e-13

@@ -8,14 +8,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from contractive import (
+    FockVector,
     InvalidDimensionError,
     InvalidParameterError,
     SeedConditionError,
     SqueezeParams,
+    TruncationError,
     audit_extremal,
     check_conjugation_identities,
     check_overcompleteness,
-    displacement_operator,
     extremal_fock,
     lattice_phi,
     make_scs,
@@ -23,6 +24,7 @@ from contractive import (
     number_state,
     run_suite,
     safe_block,
+    squeeze,
 )
 from contractive.verify import (
     _SUBCHUNK,
@@ -34,6 +36,8 @@ from contractive.verify import (
 
 from conftest import (
     coherent_amps,
+    conjugation_residuals_dense,
+    dense_displace,
     displaced_block_reference,
     radial_marginal_reference,
 )
@@ -75,6 +79,48 @@ def test_conjugation_requires_safe_block():
         check_conjugation_identities(0.5, SqueezeParams(r=2.5), dim=32)
 
 
+# the identities suite's three cases, then seeded random draws
+_IDENTITY_CASES = [
+    (1.0 + 0.5j, 0.7, 1.1, 128),
+    (-0.8 + 1.2j, 0.4, 4.0, 96),
+    (0.3 - 0.2j, 0.0, 0.0, 64),
+]
+_draws = np.random.default_rng(12)
+for _ in range(6):
+    _IDENTITY_CASES.append((
+        complex(_draws.uniform(-1.5, 1.5), _draws.uniform(-1.5, 1.5)),
+        float(_draws.uniform(0.0, 0.7)), float(_draws.uniform(0.0, 2.0 * math.pi)),
+        int(_draws.choice([64, 96, 128])),
+    ))
+
+
+@pytest.mark.parametrize("alpha, r, theta, dim", _IDENTITY_CASES,
+                         ids=[f"case{i}" for i in range(len(_IDENTITY_CASES))])
+def test_conjugation_matches_dense_oracle(alpha, r, theta, dim):
+    report = check_conjugation_identities(alpha, SqueezeParams(r=r, theta=theta),
+                                          dim=dim)
+    want = conjugation_residuals_dense(alpha, r, theta, dim, report.block)
+    got = (report.displacement, report.bogoliubov_displacement,
+           report.squeeze_conjugation, report.displacement_equality)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12
+
+
+def test_conjugation_reads_truncated_columns_without_raising():
+    # at dim 128, r = 0.7 the top block column a S^dag|14> reaches the
+    # cutoff; that truncation is the residual the check reports, so the
+    # check must not refuse it the way the state builders do
+    params = SqueezeParams(r=0.7, theta=1.1)
+    inverse = SqueezeParams(r=0.7, theta=1.1 + math.pi)  # S(-xi)
+    col = squeeze(number_state(14, 128), inverse).amps
+    a_col = np.concatenate([np.sqrt(np.arange(1, 128)) * col[1:], [0.0]])
+    with pytest.raises(TruncationError):
+        squeeze(FockVector(a_col), params)
+    report = check_conjugation_identities(1.0 + 0.5j, params, dim=128)
+    assert report.block == 15
+    assert 1e-12 < report.squeeze_conjugation < 1e-8
+
+
 def test_safe_block_bounds():
     assert safe_block(128, 0.0) == 64
     assert safe_block(128, 0.7) == int(128 / (2 * math.exp(1.4)))
@@ -112,8 +158,7 @@ def test_displaced_block_matches_operator_exponential():
     alphas = rng.normal(size=8) + 1j * rng.normal(size=8)
     block = displaced_block(chi, alphas, probe)
     for k, alpha in enumerate(alphas):
-        op = displacement_operator(alpha, dim)
-        want = (op @ chi)[:probe]
+        want = dense_displace(chi, alpha)[:probe]
         assert np.max(np.abs(block[:, k] - want)) < 1e-10
 
 
@@ -279,6 +324,25 @@ def test_overcompleteness_argument_validation():
         check_overcompleteness(phi, SqueezeParams(r=0.0), budget=0)
     with pytest.raises(InvalidDimensionError):
         check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=40, dim=64)
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "grid"])
+def test_overcompleteness_rejects_non_integer_budget(method):
+    phi = number_state(0, 16)
+    for budget in (100.5, 1e3, True, "1000"):
+        with pytest.raises(InvalidParameterError):
+            check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=2,
+                                   budget=budget, method=method)
+    report = check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=2,
+                                    budget=np.int64(100), method=method)
+    assert type(report.budget) is int
+
+
+def test_run_suite_rejects_non_integer_budget():
+    for budget in (2.5, 1e3, True):
+        with pytest.raises(InvalidParameterError):
+            run_suite("identities", budget=budget, seed=0)
+    assert run_suite("identities", budget=np.int32(1), seed=0)["budget"] == 1
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -3.0])
