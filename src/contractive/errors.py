@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import numbers
+
 
 class ContractiveError(Exception):
     """Base class for all toolkit errors."""
@@ -84,3 +86,11 @@ class NotContractiveError(ContractiveError):
 
 class InvalidParameterError(ContractiveError):
     """A physical parameter violates its constraint (e.g. non-positive mass)."""
+
+
+def require_int(value, name: str, error: type[ContractiveError]) -> int:
+    """value as a Python int; error unless it is an integer (bool excluded,
+    numpy integers accepted)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -21,6 +21,7 @@ from .errors import (
     OutOfRangeError,
     SeedConditionError,
     TrivialStateError,
+    require_int,
 )
 from .fock import FockVector
 
@@ -279,6 +280,7 @@ def lattice_phi_for_nbar(target: float, shells: int,
     n_bar = 3 * shells * q exactly, so q = target / (3 * shells). Target must
     lie in [0, 3*shells].
     """
+    shells = require_int(shells, "shells", InvalidSpecError)
     if shells < 1:
         raise InvalidSpecError(f"shells must be >= 1, got {shells}")
     top_nbar = 3.0 * shells

@@ -14,15 +14,29 @@ sqrt(j+1)<j+1|D|m> = alpha<j|D|m> + sqrt(m)<j|D|m-1> is not used: it is
 unstable upward (errors above 1e5 at probe 32, dim 128, |alpha| = radius_cap/2).
 
 The element loop runs chi's support levels m outer and probe rows j inner,
-so each row still sums its terms in ascending m. `displaced_block` works
-through the samples in column passes of _SUBCHUNK and computes each angular
-factor e^{i d (pi - phi)} or e^{i d phi} once per pass: the m >= j factors in
-a window of the probe_dim offsets the current level needs, the m < j ones
-(d < probe_dim) for the whole pass. The kernel must stay bit-identical to
-the retired per-pair kernel kept in tests/conftest.py
-(`displaced_block_reference`, `radial_marginal_reference`); the tests
-compare them with np.array_equal, so any change of operand order, of the
-factor expression or of the summation order shows.
+so each row still sums its terms in ascending m. An element's key
+(m >= j, |m - j|) names its angular factor and its Laguerre polynomial: for
+m >= j row j at level m is order j of offset m - j, for m < j order m of
+offset j - m. Each key keeps one recurrence (a chain), advanced order by
+order as the levels rise (several orders across a support gap), with the
+same steps as a recurrence restarted at order 0.
+
+`displaced_block` works through the samples in column passes of _SUBCHUNK.
+In each pass one helper thread computes every angular factor e^{i d (pi -
+phi)} (m >= j) or e^{i d phi} (m < j) once, in the order the element loop
+first reads them, into about 2 probe_dim + 2 buffers the calling thread
+allocated for the pass; the caller hands a buffer back after the last level
+that reads its factor. numpy releases the GIL inside the complex exp and the
+radial sums, so the two overlap, on one CPU as on several. Splitting the
+columns across threads instead ran as fast but raised the identity
+benchmark's peak RSS from 63 to 69-72 MB: each worker's malloc arena keeps
+its pass temporaries. The helper allocates nothing of the pass width.
+
+The kernel must stay bit-identical to the retired per-pair kernel kept in
+tests/conftest.py (`displaced_block_reference`, `radial_marginal_reference`);
+the tests compare them with np.array_equal, so any change of operand order,
+of the factor expression or of the summation order shows, and so would a
+race between the threads.
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -35,11 +49,12 @@ columns is the residual the check reports.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidParameterError, require_int
 from .fock import FockVector, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
@@ -109,11 +124,10 @@ class OvercompletenessReport:
 def _require_budget(budget) -> int:
     """budget as a Python int; InvalidParameterError unless it is an integer
     (bool excluded, numpy integers accepted) of at least 1."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise InvalidParameterError(f"budget must be an integer, got {budget!r}")
+    budget = require_int(budget, "budget", InvalidParameterError)
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
-    return int(budget)
+    return budget
 
 
 def _block_norm(matrix: np.ndarray, block: int) -> float:
@@ -227,78 +241,194 @@ def audit_extremal(state: FockVector) -> ExtremalAudit:
     )
 
 
-def _laguerre(order: int, offset: float, y: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre L_order^(offset) evaluated on an array."""
-    prev = np.ones_like(y)
-    if order == 0:
-        return prev
-    curr = 1.0 + offset - y
-    for i in range(1, order):
-        prev, curr = curr, ((2 * i + 1 + offset - y) * curr - (i + offset) * prev) / (i + 1)
-    return curr
+def _schedule(chi: np.ndarray, probe_dim: int):
+    """chi's support levels m, ascending, and for each element key
+    (m >= j, |m - j|) the last level that reads it, keyed in the order the
+    element loop (m outer, probe rows j inner) first reads them.
+
+    A key names an angular factor and a Laguerre chain at once: for m >= j
+    the element is order j of offset m - j, for m < j order m of offset
+    j - m, so each level reads a key at most once and at a higher order.
+    """
+    support = [int(m) for m in np.nonzero(np.abs(chi) > 1e-13)[0]]
+    last: dict[tuple[bool, int], int] = {}
+    for m in support:
+        for j in range(probe_dim):
+            last[(m >= j, abs(m - j))] = m
+    return support, last
 
 
-def _radial_elements(chi: np.ndarray, rho: np.ndarray, probe_dim: int):
-    """Yield (j, m, R_jm(rho)) for chi's support levels m, ascending, and
-    within each level the probe rows j < probe_dim.
+class _LaguerreChain:
+    """Generalized Laguerre L_order^(offset)(y), advanced order by order.
+
+    Each value equals, bit for bit, what the three-term recurrence restarted
+    at order 0 gives: the steps and their operand order are the same.
+    """
+
+    __slots__ = ("offset", "y", "order", "prev", "curr")
+
+    def __init__(self, offset: float, y: np.ndarray):
+        self.offset = offset
+        self.y = y
+        self.order = 0
+        self.prev = None
+        self.curr = np.ones_like(y)
+
+    def at(self, order: int, scratch: np.ndarray) -> np.ndarray:
+        """The value at order (no lower than the last one read)."""
+        offset, y = self.offset, self.y
+        while self.order < order:
+            i = self.order
+            if i == 0:
+                self.prev, self.curr = self.curr, 1.0 + offset - y
+            else:
+                # ((2i + 1 + offset - y) curr - (i + offset) prev) / (i + 1),
+                # written over prev, which no later order reads
+                prev = self.prev
+                np.subtract(2 * i + 1 + offset, y, out=scratch)
+                np.multiply(scratch, self.curr, out=scratch)
+                np.multiply(i + offset, prev, out=prev)
+                np.subtract(scratch, prev, out=prev)
+                np.divide(prev, i + 1, out=prev)
+                self.prev, self.curr = self.curr, prev
+            self.order += 1
+        return self.curr
+
+
+def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
+    """Yield (j, m, key, R_jm(rho)) for chi's support levels m, ascending,
+    and within each level the probe rows j < probe_dim.
 
     R_jm is the real radial part of <j|D(rho e^{i phi})|m>; the element is
     R_jm e^{i d (pi - phi)} for m >= j and R_jm e^{i d phi} for m < j,
     with d = |m - j|. Every row j still receives its terms in ascending m.
+    The yielded array is overwritten by the next element.
     """
-    support = np.nonzero(np.abs(chi) > 1e-13)[0]
+    support, last = schedule
     y = rho**2
+    half_y = 0.5 * y
     zero = rho == 0.0
     any_zero = bool(np.any(zero))
     # log rho is only consumed where rho > 0; the zero-displacement samples
     # are patched with D(0) = I.
     log_rho = np.log(np.where(zero, 1.0, rho))
-    top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
+    top = max(support[-1] if support else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
+    chains: dict[tuple[bool, int], _LaguerreChain] = {}
+    elem = np.empty_like(y)
+    scratch = np.empty_like(y)
     for m in support:
-        m = int(m)
         for j in range(probe_dim):
             d = abs(m - j)
             lo = min(m, j)
-            mag = np.exp(0.5 * (lgam[lo] - lgam[lo + d]) + d * log_rho - 0.5 * y)
-            elem = mag * _laguerre(lo, float(d), y)
+            key = (m >= j, d)
+            chain = chains.get(key)
+            if chain is None:
+                chain = chains[key] = _LaguerreChain(float(d), y)
+            # exp((0.5 (lgam[lo] - lgam[lo + d]) + d log rho) - y / 2)
+            np.multiply(d, log_rho, out=elem)
+            np.add(0.5 * (lgam[lo] - lgam[lo + d]), elem, out=elem)
+            np.subtract(elem, half_y, out=elem)
+            np.exp(elem, out=elem)
+            np.multiply(elem, chain.at(lo, scratch), out=elem)
+            if last[key] == m:
+                del chains[key]
             if any_zero:
-                elem = np.where(zero, 1.0 if d == 0 else 0.0, elem)
-            yield j, m, elem
+                elem[zero] = 1.0 if d == 0 else 0.0
+            yield j, m, key, elem
 
 
-def _displace_columns(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
-                      out: np.ndarray) -> None:
-    """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas)).
+class _FactorFeed:
+    """The angular factors of one column pass, computed on a helper thread.
 
-    Levels m only rise, so no later level reads an m >= j factor with
-    d < m - (probe_dim - 1); those are dropped as the window slides.
+    The helper computes e^{i d (pi - phi)} (m >= j) or e^{i d phi} (m < j)
+    for each key in first-read order, into buffers the caller allocated;
+    the caller takes a factor when it first reads it and hands its buffer
+    back after the last level that reads it. Only numpy loops run on the
+    helper, and they release the GIL, so the factors overlap the radial
+    sums. The helper never outlives the with-block.
     """
+
+    def __init__(self, keys, turn: np.ndarray, phi: np.ndarray, slots: int):
+        self._keys = keys
+        self._bases = {True: turn, False: phi}
+        self._arg = np.empty(phi.size, dtype=complex)
+        self._free = [np.empty(phi.size, dtype=complex)
+                      for _ in range(min(slots, len(keys)))]
+        self._ready: dict[tuple[bool, int], np.ndarray] = {}
+        self._cond = threading.Condition()
+        self._closed = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._produce, daemon=True)
+
+    def _produce(self) -> None:
+        try:
+            for key in self._keys:
+                with self._cond:
+                    while not self._free and not self._closed:
+                        self._cond.wait()
+                    if self._closed:
+                        return
+                    buf = self._free.pop()
+                towards_pi, d = key
+                # the expression 1j * d * base, evaluated into buffers
+                np.multiply(1j * d, self._bases[towards_pi], out=self._arg)
+                np.exp(self._arg, out=buf)
+                with self._cond:
+                    self._ready[key] = buf
+                    self._cond.notify_all()
+        except BaseException as exc:
+            with self._cond:
+                self._error = exc
+                self._cond.notify_all()
+
+    def get(self, key) -> np.ndarray:
+        with self._cond:
+            while key not in self._ready:
+                if self._error is not None:
+                    raise self._error
+                self._cond.wait()
+            return self._ready[key]
+
+    def release(self, key) -> None:
+        with self._cond:
+            self._free.append(self._ready.pop(key))
+            self._cond.notify_all()
+
+    def __enter__(self) -> "_FactorFeed":
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # wake a helper waiting for a free buffer, then wait for it to end
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+
+def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
+                      schedule) -> None:
+    """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas))."""
+    probe_dim = out.shape[0]
+    last = schedule[1]
     phi = np.angle(alphas)
     turn = np.pi - phi
-    ahead: dict[int, np.ndarray] = {}
-    behind: dict[int, np.ndarray] = {}
     prod = np.empty(alphas.size, dtype=complex)
     term = np.empty(alphas.size, dtype=complex)
-    for j, m, elem in _radial_elements(chi, np.abs(alphas), probe_dim):
-        d = abs(m - j)
-        if m >= j:
-            if d not in ahead:
-                floor = m - (probe_dim - 1)
-                ahead = {k: v for k, v in ahead.items() if k >= floor}
-                ahead[d] = np.exp(1j * d * turn)
-            factor = ahead[d]
-        else:
-            if d not in behind:
-                behind[d] = np.exp(1j * d * phi)
-            factor = behind[d]
-        # chi[m] * (elem * factor) with operands in that order and no output
-        # aliasing an input: numpy's complex multiply rounds differently with
-        # the operands swapped (prod *= chi[m]) and for a one-element
-        # in-place call
-        np.multiply(elem, factor, out=prod)
-        np.multiply(chi[m], prod, out=term)
-        out[j] += term
+    with _FactorFeed(list(last), turn, phi, 2 * probe_dim + 2) as feed:
+        for j, m, key, elem in _radial_elements(np.abs(alphas), probe_dim, schedule):
+            # chi[m] * (elem * factor) with operands in that order and no
+            # output aliasing an input: numpy's complex multiply rounds
+            # differently with the operands swapped (prod *= chi[m]) and for
+            # a one-element in-place call
+            np.multiply(elem, feed.get(key), out=prod)
+            np.multiply(chi[m], prod, out=term)
+            out[j] += term
+            if last[key] == m:
+                feed.release(key)
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -310,9 +440,10 @@ def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.n
     chi = np.asarray(chi, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
     out = np.zeros((probe_dim, alphas.size), dtype=complex)
+    schedule = _schedule(chi, probe_dim)
     for start in range(0, alphas.size, _SUBCHUNK):
         cols = slice(start, start + _SUBCHUNK)
-        _displace_columns(chi, alphas[cols], probe_dim, out[:, cols])
+        _displace_columns(chi, alphas[cols], out[:, cols], schedule)
     return out
 
 
@@ -330,7 +461,7 @@ def _radial_marginal(chi: np.ndarray, rho: np.ndarray, probe_dim: int) -> np.nda
     """(1/2pi) d/d rho^2 of the probe-row masses: T[j, i] such that
     integral 2 rho T_j(rho) d rho over [0, inf) equals 1 for each j."""
     out = np.zeros((probe_dim, rho.size))
-    for j, m, elem in _radial_elements(chi, rho, probe_dim):
+    for j, m, _, elem in _radial_elements(rho, probe_dim, _schedule(chi, probe_dim)):
         out[j] += np.abs(chi[m]) ** 2 * elem**2
     return out
 
@@ -376,13 +507,19 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    probe_dim = require_int(probe_dim, "probe_dim", InvalidDimensionError)
     if dim is None:
         dim = max(64, 4 * probe_dim, 2 * phi.dim)
+    dim = require_int(dim, "dim", InvalidDimensionError)
     if probe_dim < 0 or probe_dim > dim // 4:
         raise InvalidDimensionError(
             f"probe_dim {probe_dim} must lie in [0, dim/4 = {dim // 4}]"
         )
     budget = _require_budget(budget)
+    if method == "monte-carlo":
+        seed = require_int(seed, "seed", InvalidParameterError)
+        if seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if radius is not None and not (math.isfinite(radius) and radius > 0.0):
         raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
     require_seed(phi)

@@ -202,6 +202,13 @@ def test_lattice_nbar_targeting():
         lattice_phi_for_nbar(-0.1, shells=1)
 
 
+def test_lattice_nbar_rejects_non_integer_shells():
+    for shells in (1.5, 2.0, True, "2"):
+        with pytest.raises(InvalidSpecError):
+            lattice_phi_for_nbar(1.0, shells)
+    assert lattice_phi_for_nbar(1.0, np.int64(2)).n_bar == lattice_phi_for_nbar(1.0, 2).n_bar
+
+
 def test_lattice_nbar_closed_form():
     # n_bar = 3 * shells * q holds exactly, so one build hits the target
     rng = np.random.default_rng(33)

@@ -184,6 +184,36 @@ def test_state_construction_loads_no_scipy():
     assert report["identities"] == []
 
 
+_POOL_GUARD = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def pools_loaded():
+    return sorted(m for m in ("concurrent.futures", "queue") if m in sys.modules)
+
+from contractive.cli import main
+report = {"import": pools_loaded()}
+with redirect_stdout(io.StringIO()):
+    report["code"] = main(["verify", "overcompleteness", "--budget", "1000"])
+report["overcompleteness"] = pools_loaded()
+print(json.dumps(report))
+"""
+
+
+def test_cli_loads_no_pool_modules():
+    # the overcompleteness kernel's helper thread uses threading alone, which
+    # the CLI already loads; an executor or a queue would add import time to
+    # every CLI process
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _POOL_GUARD],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"import": [], "code": 0, "overcompleteness": []}
+
+
 def test_package_imports_no_scipy():
     package = Path(contractive.__file__).resolve().parent
     imported = []

@@ -1,5 +1,8 @@
 import ast
+import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +29,12 @@ from contractive import (
     safe_block,
     squeeze,
 )
+from contractive import verify
 from contractive.verify import (
     _SUBCHUNK,
+    _FactorFeed,
     _radial_marginal,
+    _seed_to_chi,
     choose_radius,
     displaced_block,
     radius_cap,
@@ -237,6 +243,78 @@ def test_radial_marginal_bit_identical_to_retired_kernel(probe, monkeypatch):
         assert got == want
 
 
+def _criterion_8_chi():
+    # squeezed two-shell lattice seed: support 0-57 with gaps at 48, 50, ..., 56
+    return _seed_to_chi(lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3), 64).amps
+
+
+def test_displaced_block_bit_identical_on_criterion_8_chi():
+    chi = _criterion_8_chi()
+    support = np.nonzero(np.abs(chi) > 1e-13)[0]
+    assert support.size == 53 and support[-1] == 57
+    rng = np.random.default_rng(8)
+    rho = 3.5 * np.sqrt(rng.random(100_000))
+    rho[::997] = 0.0
+    alphas = rho * np.exp(2j * np.pi * rng.random(100_000))
+    got = displaced_block(chi, alphas, 6)
+    assert np.array_equal(got, displaced_block_reference(chi, alphas, 6))
+
+
+def test_displaced_block_leaves_no_thread():
+    before = threading.active_count()
+    rng = np.random.default_rng(4)
+    displaced_block(_criterion_8_chi(), _kernel_alphas(rng, _SUBCHUNK + 7), 6)
+    assert threading.active_count() == before
+
+
+def _raised_within(seconds, call):
+    """The exception call() raises, run on a watched thread so that a hang
+    fails the test instead of stalling the run."""
+    outcome = {}
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), "hung instead of raising"
+    return outcome.get("error")
+
+
+def test_displaced_block_error_mid_pass_joins_helper(monkeypatch):
+    real = verify._radial_elements
+
+    def failing(*args):
+        for count, item in enumerate(real(*args)):
+            if count == 40:
+                # let the helper fill every free buffer and block on the next
+                time.sleep(0.3)
+                raise RuntimeError("radial failure")
+            yield item
+
+    monkeypatch.setattr(verify, "_radial_elements", failing)
+    before = threading.active_count()
+    alphas = _kernel_alphas(np.random.default_rng(6), 2 * _SUBCHUNK)
+    error = _raised_within(5.0, lambda: displaced_block(_criterion_8_chi(), alphas, 6))
+    assert isinstance(error, RuntimeError) and str(error) == "radial failure"
+    assert threading.active_count() == before
+
+
+def test_factor_feed_reraises_helper_error():
+    # mismatched bases make the helper's multiply fail on its own thread
+    def call():
+        with _FactorFeed([(True, 1)], np.zeros(3), np.zeros(5), 2) as feed:
+            feed.get((True, 1))
+
+    before = threading.active_count()
+    assert isinstance(_raised_within(5.0, call), ValueError)
+    assert threading.active_count() == before
+
+
 def test_conftest_oracles_do_not_import_the_package():
     # the oracles are independent cross-checks only while they share no code
     # with the package; a retired kernel imported back from src/ would not be
@@ -343,6 +421,33 @@ def test_run_suite_rejects_non_integer_budget():
         with pytest.raises(InvalidParameterError):
             run_suite("identities", budget=budget, seed=0)
     assert run_suite("identities", budget=np.int32(1), seed=0)["budget"] == 1
+
+
+def test_overcompleteness_rejects_malformed_arguments():
+    phi, params = number_state(0, 16), SqueezeParams(r=0.0)
+    for probe_dim in (2.5, True, "2"):
+        with pytest.raises(InvalidDimensionError):
+            check_overcompleteness(phi, params, probe_dim=probe_dim, budget=100)
+    for dim in (100.5, True):
+        with pytest.raises(InvalidDimensionError):
+            check_overcompleteness(phi, params, probe_dim=2, budget=100, dim=dim)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(InvalidParameterError):
+            check_overcompleteness(phi, params, probe_dim=2, budget=100, seed=seed)
+    # the grid draws no random numbers and ignores the seed
+    grid = check_overcompleteness(phi, params, probe_dim=2, budget=100,
+                                  method="grid", seed=-1)
+    assert grid.seed is None
+
+
+def test_overcompleteness_accepts_numpy_integers():
+    phi, params = number_state(0, 16), SqueezeParams(r=0.0)
+    report = check_overcompleteness(phi, params, probe_dim=np.int64(3), budget=200,
+                                    seed=np.int64(4), dim=np.int32(64))
+    want = check_overcompleteness(phi, params, probe_dim=3, budget=200, seed=4, dim=64)
+    assert report == want
+    assert type(report.probe_dim) is int and type(report.seed) is int
+    json.dumps(report.to_json_dict())
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -3.0])
