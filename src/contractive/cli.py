@@ -32,37 +32,20 @@ from .fock import FockVector, number_state
 DEFAULT_DIM = 128
 ENV_DIM = "CONTRACTIVE_DIM"
 
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-    (?P<real>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-    (?P<imag>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-    (?P<unit>i)?
-    \s*$""",
-    re.VERBOSE,
-)
+_COMPLEX_CHARS = re.compile(r"[\d.eE+-]*i?")
 
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' style complex literals ('1', '-2i', '0.5-0.25i', ...)."""
     s = text.strip().replace(" ", "")
-    match = _COMPLEX_RE.match(s)
-    if not match or not s:
-        raise ValueError(f"invalid complex literal {text!r}")
-    real, imag, unit = match.group("real"), match.group("imag"), match.group("unit")
-    if unit is None:
-        if imag is not None or real is None:
-            raise ValueError(f"invalid complex literal {text!r}")
-        return complex(float(real), 0.0)
-    if imag is None:
-        # forms like '2i', 'i', '-1.5i': the sole number is the imaginary part
-        if real is None:
-            return complex(0.0, 1.0)
-        if real in ("+", "-"):
-            return complex(0.0, float(real + "1"))
-        return complex(0.0, float(real))
-    if imag in ("+", "-"):
-        imag += "1"
-    return complex(float(real) if real is not None else 0.0, float(imag))
+    try:
+        # the character check keeps out what complex() alone would take:
+        # 'j', parentheses, underscores, 'inf' and 'nan'
+        if not _COMPLEX_CHARS.fullmatch(s):
+            raise ValueError
+        return complex(s[:-1] + "j" if s.endswith("i") else s)
+    except ValueError:
+        raise ValueError(f"invalid complex literal {text!r}") from None
 
 
 def _complex_arg(text: str) -> complex:
@@ -86,10 +69,18 @@ def _complex_list(text: str) -> list[complex]:
         raise argparse.ArgumentTypeError(f"invalid complex list {text!r}") from None
 
 
-# JSON types accepted for each RunConfig field in a config file.
-_CONFIG_TYPES = {"dim": int, "seed": int, "hbar": (int, float),
-                 "mass": (int, float), "omega": (int, float), "format": str}
 _FORMATS = ("json", "csv")
+
+# Each RunConfig field: the JSON types a config file may give it, and the
+# spec of its flag. A command registers the flags of the settings it reads.
+_SETTINGS = {
+    "dim": (int, dict(type=int, help="Fock cutoff (>= 16)")),
+    "seed": (int, dict(type=int, help="seed for randomized commands")),
+    "hbar": ((int, float), dict(type=float)),
+    "mass": ((int, float), dict(type=float)),
+    "omega": ((int, float), dict(type=float)),
+    "format": (str, dict(choices=_FORMATS)),
+}
 
 
 @dataclass(frozen=True)
@@ -112,9 +103,9 @@ class RunConfig:
                 raise InvalidParameterError(f"config {path} is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidParameterError(f"config {path} is not a JSON object")
-        known = {k: data[k] for k in _CONFIG_TYPES if k in data}
+        known = {k: data[k] for k in _SETTINGS if k in data}
         for name, value in known.items():
-            if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[name])
+            if (isinstance(value, bool) or not isinstance(value, _SETTINGS[name][0])
                     or name == "format" and value not in _FORMATS):
                 raise InvalidParameterError(f"config {path}: invalid {name} {value!r}")
         return cls(**known)
@@ -122,13 +113,13 @@ class RunConfig:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    env_dim = os.environ.get(ENV_DIM)
+    env_dim = os.environ.get(ENV_DIM) if "dim" in args else None
     if env_dim is not None:
         try:
             config = replace(config, dim=int(env_dim))
         except ValueError:
             raise InvalidParameterError(f"{ENV_DIM} must be an integer, got {env_dim!r}") from None
-    for name in _CONFIG_TYPES:
+    for name in _SETTINGS:
         value = getattr(args, name, None)
         if value is not None:
             config = replace(config, **{name: value})
@@ -175,7 +166,7 @@ def _seed_from_args(args: argparse.Namespace) -> FockVector:
 
 
 def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
-    if getattr(args, "band_spec", None):
+    if args.band_spec:
         return gcs.PhiSpec.load(args.band_spec)
     if args.free is None or args.low is None or args.high is None:
         raise InvalidParameterError(
@@ -184,28 +175,15 @@ def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
     return gcs.PhiSpec(n=args.low, N=args.high, free=tuple(args.free))
 
 
-def _build_state(args: argparse.Namespace, config: RunConfig) -> FockVector:
-    kind = args.kind
-    dim = config.dim
-    if kind == "number":
-        return number_state(args.n, dim)
-    if kind == "coherent":
-        return states.displace(number_state(0, dim), args.alpha)
-    if kind == "displaced-number":
-        return states.displace(number_state(args.n, dim), args.alpha)
-    if kind == "scs":
-        return states.make_scs(args.alpha, _squeeze_params(args), dim=dim)
-    if kind == "gcs-lattice":
-        return _lattice_from_args(args).state.padded(dim)
-    if kind == "gcs-solve":
-        spec = _band_spec_from_args(args)
-        return gcs.solve_phi(spec, dim=max(dim, spec.N + 1)).state
-    if kind == "sgcs":
-        seed = _seed_from_args(args)
-        return states.make_sgcs(args.alpha, _squeeze_params(args), seed, dim=dim)
-    if kind == "extremal":
-        return states.extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim)
-    raise ContractiveError(f"unknown state kind {kind!r}")
+def _solve_from_args(args: argparse.Namespace, dim: int) -> gcs.PhiState:
+    spec = _band_spec_from_args(args)
+    return gcs.solve_phi(spec, dim=max(dim, spec.N + 1))
+
+
+def _build_sgcs(args: argparse.Namespace, dim: int) -> FockVector:
+    # the seed resolves first, so its errors come before the squeeze's
+    seed = _seed_from_args(args)
+    return states.make_sgcs(args.alpha, _squeeze_params(args), seed, dim=dim)
 
 
 def _squeeze_params(args: argparse.Namespace) -> states.SqueezeParams:
@@ -224,17 +202,15 @@ def _lattice_from_args(args: argparse.Namespace) -> gcs.PhiState:
     raise InvalidParameterError("gcs-lattice needs --weights or --target-nbar")
 
 
-def cmd_state_build(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    state = _build_state(args, config)
+def cmd_state_build(args: argparse.Namespace, config: RunConfig) -> int:
+    state = args.build(args, config.dim)
     if args.out:
         state.dump(args.out)
     _emit(_moments_payload(moments.summarize(state)))
     return 0
 
 
-def cmd_state_moments(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cmd_state_moments(args: argparse.Namespace, config: RunConfig) -> int:
     state = FockVector.load(args.state)
     payload = _moments_payload(moments.summarize(state))
     if config.format == "csv":
@@ -246,8 +222,7 @@ def cmd_state_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     if args.samples < 1:
         raise OutOfRangeError(f"--samples must be >= 1, got {args.samples}")
     state = FockVector.load(args.state)
@@ -276,8 +251,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rql_band(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cmd_rql_band(args: argparse.Namespace, config: RunConfig) -> int:
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
     lower, upper = dynamics.rql_band(summary, args.system, _scales(config), args.time)
@@ -285,10 +259,8 @@ def cmd_rql_band(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gcs_solve(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    spec = _band_spec_from_args(args)
-    solved = gcs.solve_phi(spec, dim=max(config.dim, spec.N + 1))
+def cmd_gcs_solve(args: argparse.Namespace, config: RunConfig) -> int:
+    solved = _solve_from_args(args, config.dim)
     if args.out:
         solved.state.dump(args.out)
     check = gcs.check_phi(solved.state)
@@ -300,15 +272,13 @@ def cmd_gcs_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     report = verify.run_suite(args.suite, args.budget, config.seed)
     _emit(report)
     return 0 if report["passed"] else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     nbars = args.nbar if args.nbar is not None else [0.0]
     if args.kind == "scs" and args.nbar is not None:
         raise InvalidParameterError("--nbar only applies to sgcs sweeps")
@@ -349,22 +319,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.add_argument("--config", help="JSON file mirroring RunConfig")
-    parser.add_argument("--dim", type=int, help="Fock cutoff (>= 16)")
-    parser.add_argument("--seed", type=int, help="seed for randomized commands")
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--format", choices=_FORMATS)
+    for name in names:
+        parser.add_argument(f"--{name}", **_SETTINGS[name][1])
 
 
-def _add_band_spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--band-spec", help="PhiSpec JSON file")
-    parser.add_argument("--low", type=int, help="band start n")
-    parser.add_argument("--high", type=int, help="band end N (>= n + 3)")
-    parser.add_argument("--free", type=_complex_list,
-                        help="interior coefficients c_{n+1},..,c_{N-1}")
+def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), **_KIND_FLAGS[name])
+
+
+# The flags of the `state build` kinds (and of `gcs solve`), by destination.
+_KIND_FLAGS = {
+    "n": dict(type=int, default=0, help="number-state level"),
+    "alpha": dict(type=_complex_arg, default=0j, help="displacement, 'a+bi' literal"),
+    "r": dict(type=float, default=0.0, help="squeeze strength"),
+    "theta": dict(type=float, default=0.0, help="squeeze phase"),
+    "weights": dict(type=_float_list, help="lattice weights w0,w1,.. on levels 0,3,6,.."),
+    "target_nbar": dict(type=float, help="tune lattice weights to this mean photon number"),
+    "shells": dict(type=int, default=4, help="lattice shells used with --target-nbar"),
+    "phi": dict(help="FockVector JSON file with the seed"),
+    "band_spec": dict(help="PhiSpec JSON file"),
+    "low": dict(type=int, help="band start n"),
+    "high": dict(type=int, help="band end N (>= n + 3)"),
+    "free": dict(type=_complex_list, help="interior coefficients c_{n+1},..,c_{N-1}"),
+    "lam": dict(type=_complex_arg, default=1 + 0j, help="extremal parameter, Re > 0"),
+    "mean_x": dict(type=float, default=0.0),
+    "mean_p": dict(type=float, default=0.0),
+}
+_SQUEEZE = ("alpha", "r", "theta")
+_LATTICE = ("weights", "target_nbar", "shells")
+_BAND_SPEC = ("band_spec", "low", "high", "free")
+
+# Each `state build` kind: how it builds a state from (args, dim), and the
+# flags it reads.
+_KINDS = {
+    "number": (lambda args, dim: number_state(args.n, dim), ("n",)),
+    "coherent": (lambda args, dim: states.displace(number_state(0, dim), args.alpha),
+                 ("alpha",)),
+    "displaced-number": (
+        lambda args, dim: states.displace(number_state(args.n, dim), args.alpha),
+        ("n", "alpha")),
+    "scs": (lambda args, dim: states.make_scs(args.alpha, _squeeze_params(args), dim=dim),
+            _SQUEEZE),
+    "gcs-lattice": (lambda args, dim: _lattice_from_args(args).state.padded(dim),
+                    _LATTICE),
+    "gcs-solve": (lambda args, dim: _solve_from_args(args, dim).state, _BAND_SPEC),
+    "sgcs": (_build_sgcs, _SQUEEZE + _LATTICE + ("phi",) + _BAND_SPEC),
+    "extremal": (
+        lambda args, dim: states.extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim),
+        ("lam", "mean_x", "mean_p")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,33 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
 
     p_build = state_sub.add_parser("build", help="construct a state")
-    p_build.add_argument("kind", choices=(
-        "number", "coherent", "displaced-number", "scs",
-        "gcs-lattice", "gcs-solve", "sgcs", "extremal"))
-    p_build.add_argument("--n", type=int, default=0, help="number-state level")
-    p_build.add_argument("--alpha", type=_complex_arg, default=0j,
-                         help="displacement, 'a+bi' literal")
-    p_build.add_argument("--r", type=float, default=0.0, help="squeeze strength")
-    p_build.add_argument("--theta", type=float, default=0.0, help="squeeze phase")
-    p_build.add_argument("--weights", type=_float_list,
-                         help="lattice weights w0,w1,.. on levels 0,3,6,..")
-    p_build.add_argument("--target-nbar", type=float,
-                         help="tune lattice weights to this mean photon number")
-    p_build.add_argument("--shells", type=int, default=4,
-                         help="lattice shells used with --target-nbar")
-    p_build.add_argument("--phi", help="FockVector JSON file with the seed")
-    _add_band_spec_args(p_build)
-    p_build.add_argument("--lam", type=_complex_arg, default=1 + 0j,
-                         help="extremal parameter, Re > 0")
-    p_build.add_argument("--mean-x", type=float, default=0.0)
-    p_build.add_argument("--mean-p", type=float, default=0.0)
-    p_build.add_argument("--out", help="write FockVector JSON here")
-    _add_common(p_build)
-    p_build.set_defaults(func=cmd_state_build)
+    kind_sub = p_build.add_subparsers(dest="kind", required=True)
+    for kind, (build, flags) in _KINDS.items():
+        p_kind = kind_sub.add_parser(kind)
+        _add_flags(p_kind, flags)
+        p_kind.add_argument("--out", help="write FockVector JSON here")
+        _add_settings(p_kind, "dim")
+        p_kind.set_defaults(func=cmd_state_build, build=build)
 
     p_moments = state_sub.add_parser("moments", help="moment summary of a state file")
     p_moments.add_argument("state", help="FockVector JSON file")
-    _add_common(p_moments)
+    _add_settings(p_moments, "format")
     p_moments.set_defaults(func=cmd_state_moments)
 
     p_evolve = sub.add_parser("evolve", help="variance trajectory with bounds")
@@ -417,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--out", help="CSV path (default stdout)")
     p_evolve.add_argument("--expect-contractive", action="store_true",
                           help="fail (exit 1) unless the state is contractive")
-    _add_common(p_evolve)
+    _add_settings(p_evolve, "hbar", "mass", "omega")
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_band = sub.add_parser("rql-band", help="rigorous variance bounds at one time")
@@ -425,15 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_band.add_argument("--system", choices=("oscillator", "free-mass"),
                         required=True)
     p_band.add_argument("--time", type=float, required=True)
-    _add_common(p_band)
+    _add_settings(p_band, "hbar", "mass", "omega")
     p_band.set_defaults(func=cmd_rql_band)
 
     p_gcs = sub.add_parser("gcs", help="seed-state solver")
     gcs_sub = p_gcs.add_subparsers(dest="gcs_command", required=True)
     p_solve = gcs_sub.add_parser("solve", help="complete a band into a valid seed")
-    _add_band_spec_args(p_solve)
+    _add_flags(p_solve, _BAND_SPEC)
     p_solve.add_argument("--out", help="write the solved FockVector JSON here")
-    _add_common(p_solve)
+    _add_settings(p_solve, "dim")
     p_solve.set_defaults(func=cmd_gcs_solve)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -441,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uncertainty", "rql", "saturation", "overcompleteness",
         "identities", "all"))
     p_verify.add_argument("--budget", type=int, default=200)
-    _add_common(p_verify)
+    _add_settings(p_verify, "seed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="moment table over a parameter grid")
@@ -452,17 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nbar", type=_float_list,
                          help="seed photon numbers (sgcs only)")
     p_sweep.add_argument("--out", help="CSV path (default stdout)")
-    _add_common(p_sweep)
+    _add_settings(p_sweep, "dim")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (OutOfRangeError, InvalidSpecError, InvalidParameterError,
             DimensionMismatchError, InvalidDimensionError) as exc:
         # bad parameter values and malformed input files are usage errors,

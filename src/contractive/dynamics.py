@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotContractiveError
+from .errors import InvalidParameterError, NotContractiveError, require_real
 from .fock import FockVector, destroy, ensure_resolved
 from .moments import MomentSummary, summarize
 
@@ -115,7 +115,8 @@ def _as_times(times) -> np.ndarray:
 
 def evolve_oscillator(summary: MomentSummary, omega: float, times) -> EvolutionTrace:
     """Analytic variance trajectory for H = hbar omega a^dag a."""
-    if not omega > 0:
+    omega = require_real(omega, "omega", InvalidParameterError)
+    if not (math.isfinite(omega) and omega > 0):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     t = _as_times(times)
     wt = omega * t

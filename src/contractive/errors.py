@@ -94,3 +94,11 @@ def require_int(value, name: str, error: type[ContractiveError]) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str, error: type[ContractiveError]) -> float:
+    """value as a Python float; error unless it is a real number (bool
+    excluded, numpy reals accepted)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -54,7 +54,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError, require_int
+from .errors import (
+    InvalidDimensionError,
+    InvalidParameterError,
+    require_int,
+    require_real,
+)
 from .fock import FockVector, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
@@ -128,6 +133,15 @@ def _require_budget(budget) -> int:
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     return budget
+
+
+def _require_rng_seed(seed) -> int:
+    """seed as a Python int; InvalidParameterError unless it is an integer
+    (bool excluded, numpy integers accepted) of at least 0."""
+    seed = require_int(seed, "seed", InvalidParameterError)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _block_norm(matrix: np.ndarray, block: int) -> float:
@@ -517,11 +531,11 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         )
     budget = _require_budget(budget)
     if method == "monte-carlo":
-        seed = require_int(seed, "seed", InvalidParameterError)
-        if seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    if radius is not None and not (math.isfinite(radius) and radius > 0.0):
-        raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
+        seed = _require_rng_seed(seed)
+    if radius is not None:
+        radius = require_real(radius, "radius", InvalidParameterError)
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
     require_seed(phi)
     if probe_dim == 0:
         # empty probe block: nothing to integrate, identically satisfied
@@ -712,6 +726,7 @@ SUITES = {
 def run_suite(name: str, budget: int, seed: int) -> dict:
     """Run one named suite, or all of them, returning a JSON-ready report."""
     budget = _require_budget(budget)
+    seed = _require_rng_seed(seed)
     if name == "all":
         # Saturation builds and audits a squeezed coherent state per draw
         # and rql runs two propagations per state; keep their state counts

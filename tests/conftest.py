@@ -8,6 +8,7 @@ here stays the code it was.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,40 @@ def grid_extremal_amps(lam: complex, mean_x: float, mean_p: float,
         1j * mean_p * grid - 0.5 * lam * (grid - mean_x) ** 2)
     amps = trapezoid(hermite_basis(dim, grid) * values[None, :], grid, axis=1)
     return amps / np.linalg.norm(amps)
+
+
+_COMPLEX_RE = re.compile(
+    r"""^\s*
+    (?P<real>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
+    (?P<imag>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
+    (?P<unit>i)?
+    \s*$""",
+    re.VERBOSE,
+)
+
+
+def parse_complex_reference(text: str) -> complex:
+    """The CLI's retired 'a+bi' parser: a grammar of optional real and signed
+    imaginary parts, each converted with float()."""
+    s = text.strip().replace(" ", "")
+    match = _COMPLEX_RE.match(s)
+    if not match or not s:
+        raise ValueError(f"invalid complex literal {text!r}")
+    real, imag, unit = match.group("real"), match.group("imag"), match.group("unit")
+    if unit is None:
+        if imag is not None or real is None:
+            raise ValueError(f"invalid complex literal {text!r}")
+        return complex(float(real), 0.0)
+    if imag is None:
+        # forms like '2i', 'i', '-1.5i': the sole number is the imaginary part
+        if real is None:
+            return complex(0.0, 1.0)
+        if real in ("+", "-"):
+            return complex(0.0, float(real + "1"))
+        return complex(0.0, float(real))
+    if imag in ("+", "-"):
+        imag += "1"
+    return complex(float(real) if real is not None else 0.0, float(imag))
 
 
 # ---------------------------------------------------------------------------

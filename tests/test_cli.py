@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import contractive
 from contractive import FockVector, PhiSpec, number_state
-from contractive.cli import main, parse_complex
+from contractive.cli import build_parser, main, parse_complex
+from conftest import parse_complex_reference
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,26 @@ def test_parse_complex_round_trip(re, im):
     sign = "+" if im >= 0 else "-"
     text = f"{re!r}{sign}{abs(im)!r}i"
     assert parse_complex(text) == complex(re, im)
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ValueError:
+        return "rejected"
+
+
+# literal characters mixed with what complex() alone would accept or
+# stumble on: Unicode digits, '_', parentheses, nan/inf letters, 'j',
+# tabs and spaces
+_LITERAL_ALPHABET = list("0123456789.eE+-i") + [
+    "\u0661", "\u0967", "\uff11", "_", "(", ")", "n", "a", "f", "j", "\t", " "]
+
+
+@given(st.text(st.sampled_from(_LITERAL_ALPHABET), max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_parse_complex_matches_reference(text):
+    assert _outcome(parse_complex, text) == _outcome(parse_complex_reference, text)
 
 
 def test_build_scs_moments(capsys):
@@ -562,3 +583,82 @@ def test_verify_budget_below_one_usage_error(capsys, suite, budget):
     code, out, err = run_cli(capsys, "verify", suite, "--budget", budget)
     _assert_usage_error(code, err)
     assert "budget" in err and out == ""
+
+
+# One argv per leaf command that parses as it stands, and the flags that
+# leaf reads out of the kind and settings flags every leaf used to accept.
+_LEAVES = {
+    "number": (["state", "build", "number"], {"n", "dim"}),
+    "coherent": (["state", "build", "coherent"], {"alpha", "dim"}),
+    "displaced-number": (["state", "build", "displaced-number"], {"n", "alpha", "dim"}),
+    "scs": (["state", "build", "scs"], {"alpha", "r", "theta", "dim"}),
+    "gcs-lattice": (["state", "build", "gcs-lattice"],
+                    {"weights", "target-nbar", "shells", "dim"}),
+    "gcs-solve": (["state", "build", "gcs-solve"],
+                  {"band-spec", "low", "high", "free", "dim"}),
+    "sgcs": (["state", "build", "sgcs"],
+             {"alpha", "r", "theta", "phi", "weights", "target-nbar", "shells",
+              "band-spec", "low", "high", "free", "dim"}),
+    "extremal": (["state", "build", "extremal"], {"lam", "mean-x", "mean-p", "dim"}),
+    "moments": (["state", "moments", "s.json"], {"format"}),
+    "evolve": (["evolve", "s.json", "--system", "oscillator", "--t-max", "1"],
+               {"hbar", "mass", "omega"}),
+    "rql-band": (["rql-band", "s.json", "--system", "oscillator", "--time", "1"],
+                 {"hbar", "mass", "omega"}),
+    "gcs-solve-command": (["gcs", "solve"], {"band-spec", "low", "high", "free", "dim"}),
+    "verify": (["verify", "identities"], {"seed"}),
+    "sweep": (["sweep"], {"dim"}),
+}
+# the kind and settings flags, each with a value it accepts, so a rejection
+# can only mean the flag is unknown
+_FLAG_VALUES = {
+    "n": "1", "alpha": "0.5", "r": "0.1", "theta": "0.1", "weights": "1,1",
+    "target-nbar": "1", "shells": "2", "phi": "phi.json", "band-spec": "spec.json",
+    "low": "0", "high": "3", "free": "1,0.5", "lam": "1", "mean-x": "0",
+    "mean-p": "0", "dim": "64", "seed": "1", "hbar": "1", "mass": "1",
+    "omega": "1", "format": "csv",
+}
+_KIND_AND_SETTINGS = set(_FLAG_VALUES)
+_SETTING_FLAGS = {"dim", "seed", "hbar", "mass", "omega", "format"}
+
+
+@pytest.mark.parametrize("leaf", list(_LEAVES))
+def test_leaf_takes_only_the_flags_it_reads(capsys, leaf):
+    base, reads = _LEAVES[leaf]
+    parser = build_parser()
+    read_argv = [part for name in sorted(reads)
+                 for part in (f"--{name}", _FLAG_VALUES[name])]
+    parser.parse_args(base + read_argv)
+    # commands outside `state build` never took the kind flags
+    shared = _KIND_AND_SETTINGS if base[:2] == ["state", "build"] else _SETTING_FLAGS
+    for name in sorted(shared - reads):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(base + [f"--{name}", _FLAG_VALUES[name]])
+        assert excinfo.value.code == 2, name
+        assert "unrecognized arguments" in capsys.readouterr().err, name
+
+
+def test_option_before_kind_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["state", "build", "--alpha", "0.5", "coherent"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "moments", "evolve", "rql-band"])
+def test_env_dim_ignored_without_dim_flag(tmp_path, capsys, monkeypatch, command):
+    state_file = tmp_path / "scs.json"
+    run_cli(capsys, "state", "build", "scs", "--r", "0.3", "--theta", "1.5",
+            "--dim", "32", "--out", str(state_file))
+    argv = {
+        "verify": ["verify", "identities"],
+        "moments": ["state", "moments", str(state_file)],
+        "evolve": ["evolve", str(state_file), "--system", "free-mass",
+                   "--t-max", "1", "--samples", "3"],
+        "rql-band": ["rql-band", str(state_file), "--system", "oscillator",
+                     "--time", "0.5"],
+    }[command]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for value in ("8", "abc"):
+        monkeypatch.setenv("CONTRACTIVE_DIM", value)
+        assert run_cli(capsys, *argv) == (0, want, "")

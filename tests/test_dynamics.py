@@ -54,6 +54,20 @@ def test_vacuum_oscillator_constant():
     assert trace.system == "oscillator"
 
 
+@pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0, True, "1"])
+def test_oscillator_rejects_bad_omega(omega):
+    # omega = inf used to come back as a var_x of [nan]
+    with pytest.raises(InvalidParameterError):
+        evolve_oscillator(summarize(number_state(0, 16)), omega, [0.5])
+
+
+def test_oscillator_accepts_numpy_omega():
+    summary = summarize(number_state(1, 16))
+    got = evolve_oscillator(summary, np.float32(2.0), [0.3])
+    want = evolve_oscillator(summary, 2.0, [0.3])
+    assert np.array_equal(got.var_x, want.var_x)
+
+
 def test_gcs_oscillator_time_independent():
     phi = lattice_phi((1.0, 1.0), dim=16)
     summary = summarize(phi.state)

@@ -423,6 +423,16 @@ def test_run_suite_rejects_non_integer_budget():
     assert run_suite("identities", budget=np.int32(1), seed=0)["budget"] == 1
 
 
+def test_run_suite_rejects_bad_seed():
+    # -1 and 1.5 used to reach numpy and raise a raw ValueError / TypeError
+    for seed in (-1, 1.5, True, "0"):
+        with pytest.raises(InvalidParameterError):
+            run_suite("uncertainty", budget=2, seed=seed)
+    report = run_suite("uncertainty", budget=2, seed=np.int64(3))
+    assert type(report["seed"]) is int
+    assert report == run_suite("uncertainty", budget=2, seed=3)
+
+
 def test_overcompleteness_rejects_malformed_arguments():
     phi, params = number_state(0, 16), SqueezeParams(r=0.0)
     for probe_dim in (2.5, True, "2"):
@@ -455,6 +465,22 @@ def test_overcompleteness_rejects_bad_radius(radius):
     with pytest.raises(InvalidParameterError):
         check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
                                probe_dim=4, budget=100, radius=radius)
+
+
+@pytest.mark.parametrize("radius", [True, "3", 2j])
+def test_overcompleteness_rejects_non_real_radius(radius):
+    # these used to run as a disk of radius 1.0 (True) or raise a raw TypeError
+    with pytest.raises(InvalidParameterError):
+        check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
+                               probe_dim=2, budget=100, radius=radius)
+
+
+def test_overcompleteness_accepts_numpy_radius():
+    phi, params = number_state(0, 16), SqueezeParams(r=0.0)
+    report = check_overcompleteness(phi, params, probe_dim=2, budget=100,
+                                    radius=np.float32(3.0))
+    want = check_overcompleteness(phi, params, probe_dim=2, budget=100, radius=3.0)
+    assert report == want and type(report.radius) is float
 
 
 def test_overcompleteness_rejects_non_seed():
