@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotContractiveError, require_real
-from .fock import FockVector, destroy, ensure_resolved
+from .fock import FockVector, ensure_resolved
+from .gcs import index_weights
 from .moments import MomentSummary, summarize
 
 # Free-mass direct evolution embeds the state at >= this multiple of its
@@ -44,9 +45,10 @@ class PhysicalScales:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "omega"):
-            value = getattr(self, name)
+            value = require_real(getattr(self, name), name, InvalidParameterError)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
     def var_x_scale(self) -> float:
         return self.hbar / (self.mass * self.omega)
@@ -187,9 +189,12 @@ def contraction_window(summary: MomentSummary,
 
 @functools.lru_cache(maxsize=8)
 def _p_squared_eig(dim: int):
-    a = destroy(dim)
-    p = (a - a.conj().T) / (1j * np.sqrt(2))
-    p2 = (p @ p).real  # -(a - a^dag)^2 / 2, real symmetric in the number basis
+    # p^2 = (a a^dag + a^dag a - a^2 - a^dag^2) / 2 on the truncated space:
+    # m + 1/2 on the diagonal except (dim - 1)/2 in the top corner, where the
+    # truncated a a^dag is 0, and -sqrt((m + 1)(m + 2))/2 on the +-2 bands
+    m, _, w2 = index_weights(dim)
+    p2 = np.diag(m + 0.5) - 0.5 * (np.diag(w2, 2) + np.diag(w2, -2))
+    p2[-1, -1] = 0.5 * (dim - 1)
     evals, evecs = np.linalg.eigh(p2)
     evecs.setflags(write=False)
     evals.setflags(write=False)
@@ -214,6 +219,9 @@ def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
     the rows under the state's own dim (the embedding pads with zeros).
     Serves as the independent cross-check of the analytic propagation.
     """
+    t = require_real(t, "t", InvalidParameterError)
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t}")
     ensure_resolved(state)
     if system == "oscillator":
         phases = np.exp(-1j * scales.omega * t * np.arange(state.dim))

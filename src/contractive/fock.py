@@ -2,8 +2,8 @@
 
 Everything here is dimensionless (hbar = 1). Quadratures follow
 x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)). Moments come from
-ladder index sums (`gcs.ladder_moments`). `destroy` is the one dense ladder
-matrix, for the operator-identity check and the free-mass oracle's p^2.
+ladder index sums (`gcs.ladder_moments`); no dense operator matrix is built
+here.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     OutOfRangeError,
     TrivialStateError,
     TruncationError,
+    require_int,
 )
 
 # Default threshold on the probability weight sitting in the top decile of
@@ -118,15 +119,10 @@ class FockVector:
         return cls.from_json_dict(data)
 
 
-def destroy(dim: int) -> np.ndarray:
-    """Truncated annihilation operator, a[m-1, m] = sqrt(m)."""
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
 def number_state(n: int, dim: int) -> FockVector:
     """Number state |n> at the given cutoff."""
+    n = require_int(n, "level n", OutOfRangeError)
+    dim = require_int(dim, "dim", InvalidDimensionError)
     if not 0 <= n < dim:
         raise OutOfRangeError(f"level n={n} outside [0, {dim})")
     amps = np.zeros(dim, dtype=complex)
@@ -142,6 +138,7 @@ def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     from dim 8 up. Smaller cutoffs cannot hold a random state below
     TAIL_MASS_TOL and raise InvalidDimensionError.
     """
+    dim = require_int(dim, "dim", InvalidDimensionError)
     if dim < RANDOM_STATE_MIN_DIM:
         raise InvalidDimensionError(
             f"random states need dim >= {RANDOM_STATE_MIN_DIM}, got {dim}"

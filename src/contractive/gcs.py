@@ -22,6 +22,7 @@ from .errors import (
     SeedConditionError,
     TrivialStateError,
     require_int,
+    require_real,
 )
 from .fock import FockVector
 
@@ -280,6 +281,7 @@ def lattice_phi_for_nbar(target: float, shells: int,
     n_bar = 3 * shells * q exactly, so q = target / (3 * shells). Target must
     lie in [0, 3*shells].
     """
+    target = require_real(target, "target", InvalidSpecError)
     shells = require_int(shells, "shells", InvalidSpecError)
     if shells < 1:
         raise InvalidSpecError(f"shells must be >= 1, got {shells}")

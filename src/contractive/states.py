@@ -26,6 +26,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
+    require_real,
 )
 from .fock import FockVector, ensure_resolved, number_state
 
@@ -38,6 +39,9 @@ class SqueezeParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        for name in ("r", "theta"):
+            object.__setattr__(self, name, require_real(
+                getattr(self, name), name, InvalidParameterError))
         if not math.isfinite(self.r) or not math.isfinite(self.theta):
             raise InvalidParameterError("squeeze parameters must be finite")
         if self.r < 0:
@@ -205,6 +209,8 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     normalizability.
     """
     lam = complex(lam)
+    mean_x = require_real(mean_x, "mean_x", InvalidParameterError)
+    mean_p = require_real(mean_p, "mean_p", InvalidParameterError)
     if not (cmath.isfinite(lam) and lam.real > 0
             and math.isfinite(mean_x) and math.isfinite(mean_p)):
         raise InvalidParameterError(

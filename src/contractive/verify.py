@@ -22,21 +22,21 @@ order as the levels rise (several orders across a support gap), with the
 same steps as a recurrence restarted at order 0.
 
 `displaced_block` works through the samples in column passes of _SUBCHUNK.
-In each pass one helper thread computes every angular factor e^{i d (pi -
-phi)} (m >= j) or e^{i d phi} (m < j) once, in the order the element loop
-first reads them, into about 2 probe_dim + 2 buffers the calling thread
-allocated for the pass; the caller hands a buffer back after the last level
-that reads its factor. numpy releases the GIL inside the complex exp and the
-radial sums, so the two overlap, on one CPU as on several. Splitting the
-columns across threads instead ran as fast but raised the identity
-benchmark's peak RSS from 63 to 69-72 MB: each worker's malloc arena keeps
-its pass temporaries. The helper allocates nothing of the pass width.
+Each pass takes the unit phasor e^{i phi} of its samples once (phase 1 at
+alpha = 0) and builds the angular factors e^{i d (pi - phi)} (m >= j) and
+e^{i d phi} (m < j) as its powers (-conj e^{i phi})^d and (e^{i phi})^d, one
+multiplication per step of d, in the order the element loop first needs
+them. A factor is kept from the step that makes it until the last level that
+reads it. Rounding grows by about one ulp per step of d; the block stays
+within about 5e-15 of the complex-exponential kernel on the tested inputs.
 
-The kernel must stay bit-identical to the retired per-pair kernel kept in
-tests/conftest.py (`displaced_block_reference`, `radial_marginal_reference`);
-the tests compare them with np.array_equal, so any change of operand order,
-of the factor expression or of the summation order shows, and so would a
-race between the threads.
+The kernel must stay bit-identical to the per-pair powers oracle kept in
+tests/conftest.py (`displaced_block_powers`, which rebuilds every factor
+from ones), and `_radial_marginal` to the retired per-pair kernel there
+(`radial_marginal_reference`); the tests compare them with np.array_equal,
+so any change of operand order, of the factor recurrence or of the summation
+order shows. The exponential-based retired kernel
+(`displaced_block_reference`) bounds the factors' rounding.
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -49,7 +49,6 @@ columns is the residual the check reports.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,7 +62,13 @@ from .errors import (
 from .fock import FockVector, random_state
 from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
 from .moments import lambda_from_moments, summarize
-from .states import SqueezeParams, _expm_band, make_scs, squeeze
+from .states import (
+    SqueezeParams,
+    _expm_band,
+    _require_finite_alpha,
+    make_scs,
+    squeeze,
+)
 from .dynamics import PhysicalScales, evolve_free_mass, evolve_oscillator
 
 # Identity-resolution deviation target for the default Monte Carlo budget of
@@ -184,10 +189,13 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
       D(beta, b) = D(alpha, a)
     All residuals shrink rapidly as dim grows for fixed arguments.
     """
+    _require_finite_alpha(alpha)
+    dim = require_int(dim, "dim", InvalidDimensionError)
     if dim < 32:
         raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")
     if block is None:
         block = safe_block(dim, params.r)
+    block = require_int(block, "block", InvalidDimensionError)
     if not 2 <= block <= dim:
         raise InvalidDimensionError(
             f"no truncation-safe block at dim {dim} for r = {params.r}; "
@@ -257,8 +265,7 @@ def audit_extremal(state: FockVector) -> ExtremalAudit:
 
 def _schedule(chi: np.ndarray, probe_dim: int):
     """chi's support levels m, ascending, and for each element key
-    (m >= j, |m - j|) the last level that reads it, keyed in the order the
-    element loop (m outer, probe rows j inner) first reads them.
+    (m >= j, |m - j|) the last level that reads it.
 
     A key names an angular factor and a Laguerre chain at once: for m >= j
     the element is order j of offset m - j, for m < j order m of offset
@@ -352,75 +359,15 @@ def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
             yield j, m, key, elem
 
 
-class _FactorFeed:
-    """The angular factors of one column pass, computed on a helper thread.
-
-    The helper computes e^{i d (pi - phi)} (m >= j) or e^{i d phi} (m < j)
-    for each key in first-read order, into buffers the caller allocated;
-    the caller takes a factor when it first reads it and hands its buffer
-    back after the last level that reads it. Only numpy loops run on the
-    helper, and they release the GIL, so the factors overlap the radial
-    sums. The helper never outlives the with-block.
-    """
-
-    def __init__(self, keys, turn: np.ndarray, phi: np.ndarray, slots: int):
-        self._keys = keys
-        self._bases = {True: turn, False: phi}
-        self._arg = np.empty(phi.size, dtype=complex)
-        self._free = [np.empty(phi.size, dtype=complex)
-                      for _ in range(min(slots, len(keys)))]
-        self._ready: dict[tuple[bool, int], np.ndarray] = {}
-        self._cond = threading.Condition()
-        self._closed = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._produce, daemon=True)
-
-    def _produce(self) -> None:
-        try:
-            for key in self._keys:
-                with self._cond:
-                    while not self._free and not self._closed:
-                        self._cond.wait()
-                    if self._closed:
-                        return
-                    buf = self._free.pop()
-                towards_pi, d = key
-                # the expression 1j * d * base, evaluated into buffers
-                np.multiply(1j * d, self._bases[towards_pi], out=self._arg)
-                np.exp(self._arg, out=buf)
-                with self._cond:
-                    self._ready[key] = buf
-                    self._cond.notify_all()
-        except BaseException as exc:
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
-    def get(self, key) -> np.ndarray:
-        with self._cond:
-            while key not in self._ready:
-                if self._error is not None:
-                    raise self._error
-                self._cond.wait()
-            return self._ready[key]
-
-    def release(self, key) -> None:
-        with self._cond:
-            self._free.append(self._ready.pop(key))
-            self._cond.notify_all()
-
-    def __enter__(self) -> "_FactorFeed":
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # wake a helper waiting for a free buffer, then wait for it to end
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
+def _powers(ratio: np.ndarray):
+    """Yield (d, ratio^d) for d = 0, 1, 2, ..., each power the previous one
+    times ratio, starting from ones."""
+    power = np.ones_like(ratio)
+    d = 0
+    while True:
+        yield d, power
+        power = power * ratio
+        d += 1
 
 
 def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
@@ -428,21 +375,32 @@ def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
     """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas))."""
     probe_dim = out.shape[0]
     last = schedule[1]
-    phi = np.angle(alphas)
-    turn = np.pi - phi
+    # e^{i phi}, with phase 1 at alpha = 0; e^{i d (pi - phi)} (m >= j) is
+    # (-conj unit)^d and e^{i d phi} (m < j) is unit^d
+    unit = np.exp(1j * np.angle(alphas))
+    powers = {True: _powers(-unit.conj()), False: _powers(unit)}
+    factors: dict[tuple[bool, int], np.ndarray] = {}
     prod = np.empty(alphas.size, dtype=complex)
     term = np.empty(alphas.size, dtype=complex)
-    with _FactorFeed(list(last), turn, phi, 2 * probe_dim + 2) as feed:
-        for j, m, key, elem in _radial_elements(np.abs(alphas), probe_dim, schedule):
-            # chi[m] * (elem * factor) with operands in that order and no
-            # output aliasing an input: numpy's complex multiply rounds
-            # differently with the operands swapped (prod *= chi[m]) and for
-            # a one-element in-place call
-            np.multiply(elem, feed.get(key), out=prod)
-            np.multiply(chi[m], prod, out=term)
-            out[j] += term
-            if last[key] == m:
-                feed.release(key)
+    for j, m, key, elem in _radial_elements(np.abs(alphas), probe_dim, schedule):
+        if key not in factors:
+            # advance this side's powers to d, keeping each one a level
+            # reads; a power passed here has not been read yet
+            towards_pi, d = key
+            for k, power in powers[towards_pi]:
+                if (towards_pi, k) in last:
+                    factors[towards_pi, k] = power
+                if k == d:
+                    break
+        # chi[m] * (elem * factor) with operands in that order and no
+        # output aliasing an input: numpy's complex multiply rounds
+        # differently with the operands swapped (prod *= chi[m]) and for
+        # a one-element in-place call
+        np.multiply(elem, factors[key], out=prod)
+        np.multiply(chi[m], prod, out=term)
+        out[j] += term
+        if last[key] == m:
+            del factors[key]
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:

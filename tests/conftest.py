@@ -247,6 +247,25 @@ def displaced_block_reference(chi: np.ndarray, alphas: np.ndarray,
     return out
 
 
+def displaced_block_powers(chi: np.ndarray, alphas: np.ndarray,
+                           probe_dim: int) -> np.ndarray:
+    """<j|D(alpha)|chi> for j < probe_dim, with the angular factor
+    (-conj u)^d (m >= j) or u^d (m < j), u = e^{i phi}, rebuilt for every
+    (j, m) pair from ones by d multiplications."""
+    chi = np.asarray(chi, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    unit = np.exp(1j * np.angle(alphas))
+    ratios = {True: -unit.conj(), False: unit}
+    ones = np.ones(alphas.size, dtype=complex)
+    out = np.zeros((probe_dim, alphas.size), dtype=complex)
+    for j, m, elem in _radial_elements_reference(chi, np.abs(alphas), probe_dim):
+        factor = ones
+        for _ in range(abs(m - j)):
+            factor = factor * ratios[m >= j]
+        out[j] += chi[m] * (elem * factor)
+    return out
+
+
 def radial_marginal_reference(chi: np.ndarray, rho: np.ndarray,
                               probe_dim: int) -> np.ndarray:
     """(1/2pi) d/d rho^2 of the probe-row masses, by the j-outer loop."""

@@ -27,7 +27,7 @@ from contractive import (
     summarize,
 )
 
-from conftest import free_mass_oracle_reference
+from conftest import dense_ladder, free_mass_oracle_reference
 
 HBAR1 = PhysicalScales()
 
@@ -41,6 +41,19 @@ def test_scales_validation():
     assert abs(s.var_x_scale() - 2.0 / 1.5) < 1e-15
     assert abs(s.var_p_scale() - 3.0) < 1e-15
     assert s.cov_scale() == 2.0
+
+
+@pytest.mark.parametrize("name", ["hbar", "mass", "omega"])
+@pytest.mark.parametrize("value", [True, "1", 1j, None])
+def test_scales_reject_non_real(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        PhysicalScales(**{name: value})
+
+
+def test_scales_store_numpy_and_int_values_as_float():
+    s = PhysicalScales(hbar=np.float64(2.0), mass=3, omega=np.float32(0.5))
+    assert (s.hbar, s.mass, s.omega) == (2.0, 3.0, 0.5)
+    assert all(type(v) is float for v in (s.hbar, s.mass, s.omega))
 
 
 def test_vacuum_oscillator_constant():
@@ -276,3 +289,23 @@ def test_free_mass_oracle_rejects_outgrown_embedding():
 def test_oracle_unknown_system():
     with pytest.raises(InvalidParameterError):
         schrodinger_oracle(number_state(0, 16), "pendulum", HBAR1, 0.1)
+
+
+@pytest.mark.parametrize("system", ["oscillator", "free-mass"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "0.1", 1j])
+def test_oracle_rejects_bad_time(system, t, recwarn):
+    with pytest.raises(InvalidParameterError, match="t must"):
+        schrodinger_oracle(number_state(0, 16), system, HBAR1, t)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_p_squared_matches_dense_product():
+    # the banded p^2 against the product of dense truncated quadratures,
+    # top corner included
+    from contractive.dynamics import _p_squared_eig
+    for dim in (64, 256):
+        a = dense_ladder(dim)
+        p = (a - a.conj().T) / (1j * np.sqrt(2))
+        evals, evecs = _p_squared_eig(dim)
+        rebuilt = (evecs * evals) @ evecs.T
+        assert np.max(np.abs(rebuilt - (p @ p).real)) < 1e-10

@@ -14,9 +14,9 @@ from contractive import (
     random_state,
 )
 from contractive.errors import DimensionMismatchError, TrivialStateError
-from contractive.fock import RANDOM_STATE_MIN_DIM, destroy
+from contractive.fock import RANDOM_STATE_MIN_DIM
 
-from conftest import coherent_amps, dense_quadratures, expect
+from conftest import coherent_amps, dense_ladder, dense_quadratures, expect
 
 
 def test_ladder_matrix_elements():
@@ -24,13 +24,13 @@ def test_ladder_matrix_elements():
     expected[0, 1] = 1.0
     expected[1, 2] = math.sqrt(2.0)
     expected[2, 3] = math.sqrt(3.0)
-    assert np.array_equal(destroy(4), expected)
+    assert np.array_equal(dense_ladder(4), expected)
 
 
 def test_commutator_truncation_structure():
     # [a, a^dag] = 1 except in the top corner, where the cutoff subtracts dim.
     dim = 24
-    a = destroy(dim)
+    a = dense_ladder(dim)
     adag = a.conj().T
     comm = a @ adag - adag @ a
     assert np.allclose(comm[:-1, :-1], np.eye(dim - 1), atol=1e-13)
@@ -38,7 +38,7 @@ def test_commutator_truncation_structure():
 
 
 def test_number_operator_diagonal():
-    a = destroy(16)
+    a = dense_ladder(16)
     n_op = a.conj().T @ a
     assert np.allclose(np.diag(n_op), np.arange(16))
 
@@ -58,9 +58,31 @@ def test_number_state_out_of_range():
         number_state(-1, 8)
 
 
-def test_dim_too_small():
+@pytest.mark.parametrize("n", [True, 1.5, np.float64(2.0), "1"])
+def test_number_state_rejects_non_integer_level(n):
+    # a bool used to index every level, a float failed as a raw IndexError
+    with pytest.raises(OutOfRangeError):
+        number_state(n, 8)
+
+
+@pytest.mark.parametrize("dim", [8.5, True, "8"])
+def test_number_state_rejects_non_integer_dim(dim):
     with pytest.raises(InvalidDimensionError):
-        destroy(1)
+        number_state(0, dim)
+
+
+def test_number_state_accepts_numpy_integers():
+    state = number_state(np.int64(2), np.int32(8))
+    assert state.dim == 8 and state.amps[2] == 1.0
+
+
+@pytest.mark.parametrize("dim", [8.5, 16.0, True, "16"])
+def test_random_state_rejects_non_integer_dim(dim):
+    with pytest.raises(InvalidDimensionError):
+        random_state(dim, np.random.default_rng(0))
+
+
+def test_dim_too_small():
     with pytest.raises(InvalidDimensionError):
         FockVector(np.zeros(1, dtype=complex))
 
@@ -69,7 +91,7 @@ def test_expect_coherent_ladder():
     # <a> on oracle coherent amplitudes, no operator-exponential involved.
     alpha = 0.8 - 0.3j
     state = FockVector(coherent_amps(alpha, 64))
-    a = destroy(64)
+    a = dense_ladder(64)
     assert abs(expect(state.amps, a) - alpha) < 1e-12
     assert abs(expect(state.amps, a @ a) - alpha**2) < 1e-12
 

@@ -209,6 +209,13 @@ def test_lattice_nbar_rejects_non_integer_shells():
     assert lattice_phi_for_nbar(1.0, np.int64(2)).n_bar == lattice_phi_for_nbar(1.0, 2).n_bar
 
 
+def test_lattice_nbar_rejects_non_real_target():
+    for target in ("1", True, 1j, None):
+        with pytest.raises(InvalidSpecError):
+            lattice_phi_for_nbar(target, 2)
+    assert lattice_phi_for_nbar(np.float64(1.5), 2).n_bar == lattice_phi_for_nbar(1.5, 2).n_bar
+
+
 def test_lattice_nbar_closed_form():
     # n_bar = 3 * shells * q holds exactly, so one build hits the target
     rng = np.random.default_rng(33)

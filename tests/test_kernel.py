@@ -201,9 +201,8 @@ print(json.dumps(report))
 
 
 def test_cli_loads_no_pool_modules():
-    # the overcompleteness kernel's helper thread uses threading alone, which
-    # the CLI already loads; an executor or a queue would add import time to
-    # every CLI process
+    # the overcompleteness kernel runs on the calling thread; an executor or
+    # a queue would add import time to every CLI process
     root = str(Path(contractive.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))

@@ -47,6 +47,21 @@ def test_squeeze_params_validation():
         SqueezeParams(r=float("nan"))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"r": True}, {"r": "0.1"}, {"r": None}, {"r": 0.1, "theta": 1j},
+    {"r": 0.1, "theta": False}, {"r": 0.1, "theta": "0"},
+])
+def test_squeeze_params_reject_non_real(kwargs):
+    with pytest.raises(InvalidParameterError):
+        SqueezeParams(**kwargs)
+
+
+def test_squeeze_params_store_floats():
+    params = SqueezeParams(r=np.float64(0.25), theta=1)
+    assert (params.r, params.theta) == (0.25, 1.0)
+    assert type(params.r) is float and type(params.theta) is float
+
+
 @given(r=st.floats(0.0, 2.0), theta=st.floats(-7.0, 7.0))
 @settings(max_examples=60, deadline=None)
 def test_bogoliubov_normalization(r, theta):
@@ -310,6 +325,13 @@ def test_builders_reject_non_finite_alpha_before_sizing(alpha):
 def test_extremal_rejects_non_finite_input(lam, mean_x, mean_p):
     with pytest.raises(InvalidParameterError):
         extremal_fock(lam, mean_x, mean_p)
+
+
+@pytest.mark.parametrize("mean_x,mean_p", [("1", 0.0), (0.0, "1"), (True, 0.0),
+                                           (0.0, 1j)])
+def test_extremal_rejects_non_real_means(mean_x, mean_p):
+    with pytest.raises(InvalidParameterError):
+        extremal_fock(1.0, mean_x, mean_p)
 
 
 def test_extremal_wide_packet_is_exact():

@@ -1,8 +1,6 @@
 import ast
 import json
 import math
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +27,8 @@ from contractive import (
     safe_block,
     squeeze,
 )
-from contractive import verify
 from contractive.verify import (
     _SUBCHUNK,
-    _FactorFeed,
     _radial_marginal,
     _seed_to_chi,
     choose_radius,
@@ -44,6 +40,7 @@ from conftest import (
     coherent_amps,
     conjugation_residuals_dense,
     dense_displace,
+    displaced_block_powers,
     displaced_block_reference,
     radial_marginal_reference,
 )
@@ -211,6 +208,14 @@ def _kernel_alphas(rng, count):
     return rho * np.exp(2j * np.pi * rng.random(count))
 
 
+def _assert_matches_oracles(got, chi, alphas, probe):
+    """Bit-equal to the per-pair powers oracle, and within 1e-13 of the
+    retired kernel's complex exponentials."""
+    assert np.array_equal(got, displaced_block_powers(chi, alphas, probe))
+    want = displaced_block_reference(chi, alphas, probe)
+    assert got.size == 0 or np.max(np.abs(got - want)) < 1e-13
+
+
 @pytest.mark.parametrize("probe", range(1, 9))
 def test_displaced_block_bit_identical_to_retired_kernel(probe):
     rng = np.random.default_rng(100 + probe)
@@ -218,13 +223,11 @@ def test_displaced_block_bit_identical_to_retired_kernel(probe):
     for count in (0, 1, _SUBCHUNK, _SUBCHUNK + 1, 62_500):
         alphas = _kernel_alphas(rng, count)
         for chi in chis:
-            got = displaced_block(chi, alphas, probe)
-            assert np.array_equal(got, displaced_block_reference(chi, alphas, probe))
+            _assert_matches_oracles(displaced_block(chi, alphas, probe), chi, alphas, probe)
     # every sample at the origin
     alphas = np.zeros(5, dtype=complex)
     for chi in chis:
-        got = displaced_block(chi, alphas, probe)
-        assert np.array_equal(got, displaced_block_reference(chi, alphas, probe))
+        _assert_matches_oracles(displaced_block(chi, alphas, probe), chi, alphas, probe)
 
 
 @pytest.mark.parametrize("probe", range(1, 9))
@@ -256,63 +259,7 @@ def test_displaced_block_bit_identical_on_criterion_8_chi():
     rho = 3.5 * np.sqrt(rng.random(100_000))
     rho[::997] = 0.0
     alphas = rho * np.exp(2j * np.pi * rng.random(100_000))
-    got = displaced_block(chi, alphas, 6)
-    assert np.array_equal(got, displaced_block_reference(chi, alphas, 6))
-
-
-def test_displaced_block_leaves_no_thread():
-    before = threading.active_count()
-    rng = np.random.default_rng(4)
-    displaced_block(_criterion_8_chi(), _kernel_alphas(rng, _SUBCHUNK + 7), 6)
-    assert threading.active_count() == before
-
-
-def _raised_within(seconds, call):
-    """The exception call() raises, run on a watched thread so that a hang
-    fails the test instead of stalling the run."""
-    outcome = {}
-
-    def target():
-        try:
-            call()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    caller = threading.Thread(target=target, daemon=True)
-    caller.start()
-    caller.join(timeout=seconds)
-    assert not caller.is_alive(), "hung instead of raising"
-    return outcome.get("error")
-
-
-def test_displaced_block_error_mid_pass_joins_helper(monkeypatch):
-    real = verify._radial_elements
-
-    def failing(*args):
-        for count, item in enumerate(real(*args)):
-            if count == 40:
-                # let the helper fill every free buffer and block on the next
-                time.sleep(0.3)
-                raise RuntimeError("radial failure")
-            yield item
-
-    monkeypatch.setattr(verify, "_radial_elements", failing)
-    before = threading.active_count()
-    alphas = _kernel_alphas(np.random.default_rng(6), 2 * _SUBCHUNK)
-    error = _raised_within(5.0, lambda: displaced_block(_criterion_8_chi(), alphas, 6))
-    assert isinstance(error, RuntimeError) and str(error) == "radial failure"
-    assert threading.active_count() == before
-
-
-def test_factor_feed_reraises_helper_error():
-    # mismatched bases make the helper's multiply fail on its own thread
-    def call():
-        with _FactorFeed([(True, 1)], np.zeros(3), np.zeros(5), 2) as feed:
-            feed.get((True, 1))
-
-    before = threading.active_count()
-    assert isinstance(_raised_within(5.0, call), ValueError)
-    assert threading.active_count() == before
+    _assert_matches_oracles(displaced_block(chi, alphas, 6), chi, alphas, 6)
 
 
 def test_conftest_oracles_do_not_import_the_package():
@@ -507,6 +454,19 @@ def test_overcompleteness_empty_probe():
 def test_conjugation_dim_floor():
     with pytest.raises(InvalidDimensionError):
         check_conjugation_identities(0.0, SqueezeParams(r=0.0), dim=16)
+
+
+@pytest.mark.parametrize("dim,block", [(128.5, None), (True, None), ("128", None),
+                                       (128, 4.5), (128, True)])
+def test_conjugation_rejects_non_integer_dim_or_block(dim, block):
+    with pytest.raises(InvalidDimensionError):
+        check_conjugation_identities(0.1, SqueezeParams(r=0.1), dim=dim, block=block)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)])
+def test_conjugation_rejects_non_finite_alpha(alpha):
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        check_conjugation_identities(alpha, SqueezeParams(r=0.1), dim=64)
 
 
 def test_run_suite_identities():
