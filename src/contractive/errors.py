@@ -102,3 +102,11 @@ def require_real(value, name: str, error: type[ContractiveError]) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_complex(value, name: str, error: type[ContractiveError]) -> complex:
+    """value as a Python complex; error unless it is a number (bool
+    excluded, numpy scalars accepted)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise error(f"{name} must be a number, got {value!r}")
+    return complex(value)

@@ -129,14 +129,18 @@ def sgcs_predicted_moments(n_bar: float, params: SqueezeParams) -> MomentSummary
     var_p = weight * (ch + math.cos(theta) * sh)
     cov = -(2 * n_bar + 1.0) * math.sin(theta) * sh
 
-    # Internal consistency: cov must equal -sgn(sin theta) times the
-    # saturation root sqrt(4 var_x var_p - (2 n_bar + 1)^2).
-    root = math.sqrt(max(4.0 * var_x * var_p - (2 * n_bar + 1.0) ** 2, 0.0))
-    expected = -math.copysign(root, math.sin(theta)) if math.sin(theta) != 0 else 0.0
-    scale = max(1.0, abs(cov))
-    if abs(cov - expected) > 1e-10 * scale:
+    # Internal consistency: cov^2 + (2 n_bar + 1)^2 = 4 var_x var_p, with
+    # cov of sign -sgn(sin theta). Compared squared, since the root of the
+    # difference cancels near sin theta = 0, and relative to (var_x + var_p)^2
+    # = (2 n_bar + 1)^2 cosh^2 2r, the size of the terms var_x and var_p
+    # lose to cancellation at large r.
+    product = 4.0 * var_x * var_p
+    scale = (var_x + var_p) ** 2
+    if (abs(cov**2 + (2 * n_bar + 1.0) ** 2 - product) > 1e-12 * scale
+            or cov * math.sin(theta) > 0.0):
         raise AssertionError(
-            f"covariance identity violated: {cov} vs {expected}"
+            f"covariance identity violated: cov^2 = {cov**2}, "
+            f"4 var_x var_p - (2 n_bar + 1)^2 = {product - (2 * n_bar + 1.0) ** 2}"
         )
     return MomentSummary(var_x=var_x, var_p=var_p, cov=cov, n_bar=n_bar)
 

@@ -5,11 +5,11 @@ output, so a state returned from here is safe to feed into the moment and
 dynamics layers.
 
 Displacement and squeezing are exponentials of the banded generator
-G = c a^dag^k - c* a^k. Builders apply exp(G) to the vector with a truncated
-Taylor series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011), sec. 3) whose matrix-vector product is an index shift, so nothing
-here forms a dim x dim array. The unchecked core `_expm_band` also takes a
-block of columns; the operator-identity check in `verify` runs on it.
+G = c a^dag^k - c* a^k. Builders apply exp(G) to the vector with a Chebyshev
+expansion whose coefficients are Bessel values (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 3967 (1984)) and whose matrix-vector product is an index shift, so
+nothing here forms a dim x dim array. The unchecked core `_expm_band` also
+takes a block of columns; the operator-identity check in `verify` runs on it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
+    require_complex,
     require_real,
 )
 from .fock import FockVector, ensure_resolved, number_state
@@ -60,11 +61,6 @@ class SqueezeParams:
         return complex(math.cos(self.theta), math.sin(self.theta)) * self.r
 
 
-# Bound on the 1-norm of G/steps in one Taylor step. The partial sums of a
-# step can exceed the result by about e^4, so rounding stays near e^4 u.
-_STEP_NORM = 4.0
-
-
 def _band(k: int, c: complex, dim: int) -> np.ndarray:
     """Band of G = c a^dag^k - c* a^k on the truncated space.
 
@@ -77,46 +73,79 @@ def _band(k: int, c: complex, dim: int) -> np.ndarray:
     return complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
 
 
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), J_1(x), ..., J_K(x) for x > 0, where K is the first order
+    above x whose tail 2 sum_{i>K} |J_i(x)| is at most a quarter of the
+    machine epsilon (half the unit roundoff).
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    from zero beyond n and normalized by J_0 + 2 sum_k J_{2k} = 1. Above x it
+    carries the ratios J_k/J_{k-1} = x/(2k - x J_{k+1}/J_k), which stay in
+    (0, 1) there, so no step divides by x or overflows however small x is;
+    at and below x it carries the values, where 2k/x <= 2.
+    """
+    top = math.floor(x) + 1  # lowest order above x
+    n = top + 30 + math.ceil(20.0 * x ** (1.0 / 3.0))
+    ratios = np.empty(n - top + 1)
+    ratio = 0.0
+    for order in range(n, top - 1, -1):
+        ratio = x / (2.0 * order - x * ratio)
+        ratios[order - top] = ratio
+    values = np.empty(n + 1)
+    values[top - 1] = 1.0
+    values[top:] = np.cumprod(ratios)
+    for order in range(top - 1, 0, -1):
+        values[order - 1] = (2.0 * order / x) * values[order] - values[order + 1]
+    values /= values[0] + 2.0 * values[2::2].sum()
+    tail = 2.0 * np.cumsum(np.abs(values[:0:-1]))[::-1]  # tail[j]: orders > j
+    small = np.flatnonzero(tail[top:] <= np.finfo(float).eps / 4)
+    if small.size == 0:  # the margin above puts the tail near 1e-30
+        raise ArithmeticError(f"Bessel tail at x = {x} does not fall below rounding")
+    return values[:top + small[0] + 1]
+
+
 def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     """exp(G) applied to amps, G = c a^dag^k - c* a^k; no truncation check.
 
-    amps is a (dim,) vector or a (dim, n) block of columns. The step count
-    comes from the exact 1-norm of G (its largest absolute column sum). Each
-    step sums the Taylor series of exp(G/steps) until two consecutive terms
-    fall below u times the partial sum (Al-Mohy & Higham's stopping test),
-    with maxima taken over the whole block.
+    amps is a (dim,) vector or a (dim, n) block of columns. rho, the exact
+    1-norm of G (its largest column sum), bounds the spectrum of the Hermitian
+    iG, and exp(G) v = J_0(rho) u_0 + 2 sum_j J_j(rho) u_j with u_j =
+    (-i)^j T_j(iG/rho) v: u_0 = v, u_1 = (G/rho) v, u_{j+1} = 2 (G/rho) u_j +
+    u_{j-1}. As ||u_j|| <= ||v||, the sum stops at the first order beyond rho
+    whose Bessel tail 2 sum_{i>j} |J_i(rho)| is below half the unit roundoff,
+    so the number of terms depends on rho alone.
     """
     dim = amps.shape[0]
     band = _band(k, c, dim)
     col_sums = np.zeros(dim)
     col_sums[:-k] += np.abs(band)
     col_sums[k:] += np.abs(band)
-    steps = max(1, math.ceil(float(col_sums.max()) / _STEP_NORM))
-    band = band / steps
+    rho = float(col_sums.max())
+    prev = amps.astype(complex)
+    if rho == 0.0:
+        return prev
+    bessel = _bessel_j(rho)
+    # 2 G / rho part by part: a complex division takes 1/rho, inf if subnormal
+    band = ((2.0 * band).view(float) / rho).view(complex)
     if amps.ndim == 2:
         band = band[:, None]
     band_conj = band.conj()
-    out = amps.astype(complex)
-    term = np.empty_like(out)
-    shifted = np.empty_like(out)
-    tol = np.finfo(float).eps / 2.0
-    for _ in range(steps):
-        term[:] = out
-        prev = abs(term).max()
-        bound = prev  # >= max|out| by the triangle inequality; spares the norm
-        degree = 1
-        while True:  # ||G/steps|| <= 4: terms shrink like 4^j/j!, ~40 at most
-            shifted[:k] = 0.0
-            np.multiply(band, term[:-k], out=shifted[k:])
-            shifted[:-k] -= band_conj * term[k:]
-            np.multiply(shifted, 1.0 / degree, out=term)
-            out += term
-            size = abs(term).max()
-            bound += size
-            if prev + size <= tol * bound and prev + size <= tol * abs(out).max():
-                break
-            prev = size
-            degree += 1
+    out = bessel[0] * prev
+    cur = np.zeros_like(prev)  # u_1 = (G / rho) u_0
+    cur[k:] = 0.5 * band * prev[:-k]
+    cur[:-k] -= 0.5 * band_conj * prev[k:]
+    out += 2.0 * bessel[1] * cur
+    scratch = np.empty_like(prev[k:])
+    term = np.empty_like(prev)
+    for coeff in 2.0 * bessel[2:]:
+        # u_{j+1} = (2 G / rho) u_j + u_{j-1}, written over u_{j-1}
+        np.multiply(band, cur[:-k], out=scratch)
+        prev[k:] += scratch
+        np.multiply(band_conj, cur[k:], out=scratch)
+        prev[:-k] -= scratch
+        prev, cur = cur, prev
+        np.multiply(cur, coeff, out=term)
+        out += term
     return out
 
 
@@ -129,9 +158,11 @@ def _apply(state: FockVector, k: int, c: complex) -> FockVector:
     return result
 
 
-def _require_finite_alpha(alpha: complex) -> None:
+def _require_finite_alpha(alpha) -> complex:
+    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if not cmath.isfinite(alpha):
         raise InvalidParameterError(f"displacement alpha must be finite, got {alpha}")
+    return alpha
 
 
 def displace(state: FockVector, alpha: complex) -> FockVector:
@@ -144,11 +175,10 @@ def displace(state: FockVector, alpha: complex) -> FockVector:
     that level; a displacement that does would wrap around the cutoff, and
     is rejected up front (CutoffReachedError) however large alpha is.
     """
-    _require_finite_alpha(alpha)
+    alpha = _require_finite_alpha(alpha)
     ensure_resolved(state)
     norm = state.norm()
     if norm > 0.0:
-        alpha = complex(alpha)
         amps = state.amps / norm
         first, _ = gcs.ladder_sums(amps)
         n_bar = (gcs.photon_sum(amps) + 2.0 * (alpha.conjugate() * first).real
@@ -174,7 +204,7 @@ def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
 def make_scs(alpha: complex, params: SqueezeParams,
              dim: int | None = None) -> FockVector:
     """Squeezed coherent state D(alpha) S(xi) |0>."""
-    _require_finite_alpha(alpha)
+    alpha = _require_finite_alpha(alpha)
     if dim is None:
         dim = _auto_dim(0, alpha, params.r)
     return displace(squeeze(number_state(0, dim), params), alpha)
@@ -187,7 +217,7 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     The seed phi must satisfy the vanishing ladder-moment conditions
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
     """
-    _require_finite_alpha(alpha)
+    alpha = _require_finite_alpha(alpha)
     gcs.require_seed(phi)
     seed = phi.normalized()
     top = int(np.nonzero(np.abs(seed.amps) > 1e-14)[0][-1])

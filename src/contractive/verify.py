@@ -189,7 +189,7 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
       D(beta, b) = D(alpha, a)
     All residuals shrink rapidly as dim grows for fixed arguments.
     """
-    _require_finite_alpha(alpha)
+    alpha = _require_finite_alpha(alpha)
     dim = require_int(dim, "dim", InvalidDimensionError)
     if dim < 32:
         raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")

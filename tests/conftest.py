@@ -138,16 +138,65 @@ def conjugation_residuals_dense(alpha: complex, r: float, theta: float,
             norm(d_b - d_a))
 
 
+def _generator_band(k: int, c: complex, dim: int) -> np.ndarray:
+    """Band of G = c a^dag^k - c* a^k: G[m + k, m] = band[m] and
+    G[m, m + k] = -conj(band[m])."""
+    m = np.arange(dim - k, dtype=float)
+    return complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
+
+
 def expm_multiply_apply(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     """exp(c a^dag^k - c* a^k) @ amps by scipy's expm_multiply on a sparse band.
 
     The kernel the package used before it owned its Taylor loop. Its 1-norm
     estimator draws from np.random, which moves only the last digits.
     """
-    m = np.arange(amps.size - k, dtype=float)
-    band = complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
+    band = _generator_band(k, c, amps.size)
     generator = diags([band, -band.conj()], [-k, k], format="csr")
     return expm_multiply(generator, amps)
+
+
+def expm_band_taylor_reference(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
+    """exp(c a^dag^k - c* a^k) applied to a (dim,) vector or a (dim, n) block
+    by the scaled Taylor loop the package ran before its Chebyshev kernel
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), sec. 3).
+
+    The step count makes the 1-norm of G/steps at most 4. Each step sums the
+    Taylor series of exp(G/steps) until two consecutive terms fall below u
+    times the partial sum, with maxima taken over the whole block.
+    """
+    dim = amps.shape[0]
+    band = _generator_band(k, c, dim)
+    col_sums = np.zeros(dim)
+    col_sums[:-k] += np.abs(band)
+    col_sums[k:] += np.abs(band)
+    steps = max(1, math.ceil(float(col_sums.max()) / 4.0))
+    band = band / steps
+    if amps.ndim == 2:
+        band = band[:, None]
+    band_conj = band.conj()
+    out = amps.astype(complex)
+    term = np.empty_like(out)
+    shifted = np.empty_like(out)
+    tol = np.finfo(float).eps / 2.0
+    for _ in range(steps):
+        term[:] = out
+        prev = abs(term).max()
+        bound = prev  # >= max|out| by the triangle inequality; spares the norm
+        degree = 1
+        while True:
+            shifted[:k] = 0.0
+            np.multiply(band, term[:-k], out=shifted[k:])
+            shifted[:-k] -= band_conj * term[k:]
+            np.multiply(shifted, 1.0 / degree, out=term)
+            out += term
+            size = abs(term).max()
+            bound += size
+            if prev + size <= tol * bound and prev + size <= tol * abs(out).max():
+                break
+            prev = size
+            degree += 1
+    return out
 
 
 def index_sums_reference(c: np.ndarray):

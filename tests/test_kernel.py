@@ -1,9 +1,11 @@
 """The matrix-free displacement/squeeze kernel against the dense oracle.
 
-`displace` and `squeeze` apply exp(generator) to the vector; the dense
-truncated unitaries in conftest are the reference they must reproduce, and
-the sparse `expm_multiply` kernel the package used before its own Taylor
-loop is a second reference.
+`displace` and `squeeze` apply exp(generator) to the vector with a
+Chebyshev-Bessel expansion; the dense truncated unitaries in conftest are
+the reference they must reproduce. The kernels the package ran before are
+kept in conftest as further references: the scaled Taylor loop it retired
+for the expansion, and the sparse `expm_multiply` it used before that. The
+Bessel coefficients are checked against scipy.
 """
 
 import ast
@@ -13,12 +15,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 import contractive
 from contractive import (
@@ -33,11 +37,12 @@ from contractive import (
     number_state,
     squeeze,
 )
-from contractive.states import _band, _expm_band
+from contractive.states import _band, _bessel_j, _expm_band
 
 from conftest import (
     dense_displace,
     dense_squeeze,
+    expm_band_taylor_reference,
     expm_multiply_apply,
     squeezed_vacuum_amps,
 )
@@ -246,8 +251,8 @@ def test_builders_never_call_the_dense_exponential():
 
 
 def test_kernel_ignores_global_random_state():
-    # the Taylor kernel draws no random numbers (its step count comes from
-    # the exact 1-norm); the amplitudes must not depend on np.random
+    # the Chebyshev kernel draws no random numbers (its number of terms
+    # comes from the exact 1-norm); the amplitudes must not depend on np.random
     state = _narrow_random_state(1024, 3)
     params = SqueezeParams(r=1.0, theta=0.4)
     outputs = []
@@ -298,3 +303,78 @@ def test_block_kernel_matches_column_by_column():
         assert got.shape == cols.shape
         for n in range(cols.shape[1]):
             assert np.max(np.abs(got[:, n] - _expm_band(cols[:, n], k, c))) <= 1e-13
+
+
+@given(
+    k=st.sampled_from([1, 2]),
+    dim=st.sampled_from([2, 3, 32, 64, 256, 1024]),
+    rho=st.sampled_from([0.0, 5e-324, 7.3e-101, 1e-8, 0.5, 4.0, 130.0, 1000.0]),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    columns=st.sampled_from([None, 1, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, dim=64, rho=7.3e-101, phase=0.0, columns=None, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_retired_taylor_kernel(k, dim, rho, phase, columns, seed):
+    # |c| puts the generator's 1-norm at rho; where rho / norm(band of c = 1)
+    # underflows, |c| = rho stands in, the smallest nonzero generator
+    col_sums = np.zeros(dim)
+    unit_band = np.abs(_band(k, 1.0, dim))
+    col_sums[:dim - k] += unit_band
+    col_sums[k:] += unit_band
+    factor = float(col_sums.max()) or 1.0
+    size = rho / factor if rho / factor > 0.0 else rho
+    c = size * complex(math.cos(phase), math.sin(phase))
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if columns is None else (dim, columns)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps *= 10.0 ** rng.uniform(-3.0, 3.0)
+    if columns is not None:
+        amps[:, ::2] = 0.0  # zero columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow at subnormal rho
+        got = _expm_band(amps, k, c)
+    want = expm_band_taylor_reference(amps, k, c)
+    assert got.shape == amps.shape
+    # both kernels rescale G (by rho or by the step count), and rounding the
+    # rescaled band moves exp(G)'s phases by about rho u; on two or three
+    # levels the two kernels differ by up to about 3e-13 at rho = 1000, so
+    # past rho = 130 the bound grows in proportion to rho
+    bound = 1e-13 * max(1.0, rho / 130.0)
+    assert np.all(np.max(np.abs(got - want), axis=0)
+                  <= bound * np.maximum(1.0, np.linalg.norm(amps, axis=0)))
+
+
+@pytest.mark.parametrize("rho", [0.5, 130.0, 1000.0, 5000.0])
+def test_kernel_rotates_two_levels(rho):
+    # at dim 2, G = [[0, -c*], [c, 0]] and exp(G) is a rotation by |c|; the
+    # band rescaled by rho carries a rounding of u, so the angle is good to
+    # about rho u, and the result stays within a few rho u of the rotation
+    rng = np.random.default_rng(int(rho))
+    for phase in (0.0, 1.0, 4.0):
+        c = rho * complex(math.cos(phase), math.sin(phase))
+        angle, unit = abs(c), c / abs(c)  # the rotation the rounded c makes
+        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        want = np.array([math.cos(angle) * amps[0] - unit.conjugate() * math.sin(angle) * amps[1],
+                         unit * math.sin(angle) * amps[0] + math.cos(angle) * amps[1]])
+        got = _expm_band(amps, 1, c)
+        bound = 4.0 * max(1.0, rho) * np.finfo(float).eps / 2.0
+        assert np.max(np.abs(got - want)) <= bound * np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-100, 1e-8, 0.5, 4.0, 128.0, 1000.0, 5000.0])
+def test_bessel_helper_matches_scipy(x):
+    # scipy's jv is itself off by up to about 6e-14 at x = 5000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _bessel_j(x)
+    assert values.size > x + 1
+    assert np.max(np.abs(values - jv(np.arange(values.size), x))) <= 1e-13
+    # cut at the first order above x whose tail falls to a quarter epsilon
+    eps = np.finfo(float).eps
+    beyond = jv(np.arange(values.size, values.size + 200), x)
+    assert 2.0 * np.sum(np.abs(beyond)) <= eps / 4
+    if values.size - 2 > x:
+        assert 2.0 * np.sum(np.abs(beyond)) + 2.0 * abs(values[-1]) > eps / 4
+    assert abs(values[0] + 2.0 * values[2::2].sum() - 1.0) <= 1e-14
+    assert abs(values[0] ** 2 + 2.0 * np.sum(values[1:] ** 2) - 1.0) <= 1e-14

@@ -113,6 +113,20 @@ def test_sgcs_closed_forms():
         sgcs_predicted_moments(-0.1, SqueezeParams(r=0.5))
 
 
+@pytest.mark.parametrize("n_bar", [0.0, 1.5])
+@pytest.mark.parametrize("theta", [3.141590707120425, math.pi, 0.0, -1e-9, 2.0 * math.pi])
+def test_closed_forms_near_sin_theta_zero(n_bar, theta):
+    # a perfbench sweep draw: the self-check once took the root of
+    # 4 var_x var_p - (2 n_bar + 1)^2, which cancels here, and raised
+    params = SqueezeParams(r=0.2678433940074071, theta=theta)
+    got = sgcs_predicted_moments(n_bar, params)
+    sinh = math.sinh(2.0 * params.r)
+    assert got.cov == -(2.0 * n_bar + 1.0) * math.sin(theta) * sinh
+    assert got.cov * math.sin(theta) <= 0.0
+    if n_bar == 0.0:
+        assert scs_predicted_moments(params) == got
+
+
 def test_summarize_matches_predictions():
     rng = np.random.default_rng(11)
     seeds = [

@@ -15,6 +15,7 @@ from contractive import (
     classify,
     displace,
     extremal_fock,
+    lattice_phi,
     make_scs,
     make_sgcs,
     number_state,
@@ -22,7 +23,7 @@ from contractive import (
     squeeze,
     summarize,
 )
-from contractive.errors import CutoffReachedError
+from contractive.errors import CutoffReachedError, require_complex
 from contractive.states import _expm_band
 
 from conftest import (
@@ -304,6 +305,48 @@ def test_extremal_eigen_condition():
 def test_displace_rejects_non_finite_alpha(alpha):
     with pytest.raises(InvalidParameterError):
         displace(number_state(0, 32), alpha)
+
+
+_NOT_NUMBERS = ["1", None, [1], True, np.bool_(True), np.array(1.0)]
+
+
+@pytest.mark.parametrize("alpha", _NOT_NUMBERS)
+def test_displace_rejects_non_number_alpha(alpha):
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        displace(number_state(0, 32), alpha)
+
+
+@pytest.mark.parametrize("alpha", _NOT_NUMBERS)
+def test_make_scs_rejects_non_number_alpha(alpha):
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        make_scs(alpha, SqueezeParams(r=0.1))
+
+
+@pytest.mark.parametrize("alpha", _NOT_NUMBERS)
+def test_make_sgcs_rejects_non_number_alpha(alpha):
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        make_sgcs(alpha, SqueezeParams(r=0.1), number_state(0, 16))
+
+
+def test_builders_take_numpy_scalar_alpha_bit_for_bit():
+    params = SqueezeParams(r=0.3, theta=0.4)
+    seed = lattice_phi([1.0, 1.0]).state
+    for alpha, same in ((np.complex128(0.6 - 0.2j), 0.6 - 0.2j),
+                        (np.float64(0.6), 0.6), (np.int64(1), 1)):
+        assert np.array_equal(make_scs(alpha, params).amps, make_scs(same, params).amps)
+        assert np.array_equal(make_sgcs(alpha, params, seed).amps,
+                              make_sgcs(same, params, seed).amps)
+        assert np.array_equal(displace(number_state(1, 64), alpha).amps,
+                              displace(number_state(1, 64), same).amps)
+
+
+def test_require_complex():
+    assert require_complex(np.complex64(0.5 + 0.25j), "z", InvalidParameterError) == 0.5 + 0.25j
+    assert type(require_complex(np.float64(2.0), "z", InvalidParameterError)) is complex
+    assert require_complex(3, "z", InvalidParameterError) == 3 + 0j
+    for value in _NOT_NUMBERS:
+        with pytest.raises(InvalidParameterError, match="z must be a number"):
+            require_complex(value, "z", InvalidParameterError)
 
 
 @pytest.mark.parametrize("alpha", [complex(math.inf, 0.0), complex(math.nan, 0.0)])

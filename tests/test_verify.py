@@ -469,6 +469,19 @@ def test_conjugation_rejects_non_finite_alpha(alpha):
         check_conjugation_identities(alpha, SqueezeParams(r=0.1), dim=64)
 
 
+@pytest.mark.parametrize("alpha", ["1", None, [1], True, np.bool_(True), np.array(1.0)])
+def test_conjugation_rejects_non_number_alpha(alpha):
+    with pytest.raises(InvalidParameterError, match="alpha must be a number"):
+        check_conjugation_identities(alpha, SqueezeParams(r=0.1), dim=64)
+
+
+def test_conjugation_takes_numpy_scalar_alpha_bit_for_bit():
+    params = SqueezeParams(r=0.2, theta=0.5)
+    for alpha, same in ((np.complex128(0.4 + 0.3j), 0.4 + 0.3j), (np.float64(0.5), 0.5)):
+        assert (check_conjugation_identities(alpha, params, dim=64)
+                == check_conjugation_identities(same, params, dim=64))
+
+
 def test_run_suite_identities():
     result = run_suite("identities", budget=1, seed=0)
     assert result["passed"]
