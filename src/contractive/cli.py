@@ -26,6 +26,7 @@ from .errors import (
     InvalidSpecError,
     NotContractiveError,
     OutOfRangeError,
+    require_real,
 )
 from .fock import FockVector, number_state
 
@@ -228,7 +229,8 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
     scales = _scales(config)
-    times = np.linspace(0.0, args.t_max, args.samples)
+    t_max = require_real(args.t_max, "--t-max", InvalidParameterError)
+    times = np.linspace(0.0, t_max, args.samples)
     if args.expect_contractive and not summary.cov < 0:
         raise NotContractiveError(
             f"state is not contractive (cov = {summary.cov:.6g} >= 0)"
@@ -289,6 +291,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         if args.kind == "scs":
             state = states.make_scs(alpha, params, dim=config.dim)
         else:
+            nbar = require_real(nbar, "--nbar", InvalidParameterError)
             shells = max(1, int(np.ceil(nbar / 3.0)) or 1)
             seed = gcs.lattice_phi_for_nbar(nbar, shells).state
             state = states.make_sgcs(alpha, params, seed, dim=config.dim)

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotContractiveError, require_real
+from .errors import (
+    InvalidParameterError,
+    NotContractiveError,
+    require_real,
+    require_real_array,
+)
 from .fock import FockVector, ensure_resolved
 from .gcs import index_weights
 from .moments import MomentSummary, summarize
@@ -46,7 +51,7 @@ class PhysicalScales:
     def __post_init__(self):
         for name in ("hbar", "mass", "omega"):
             value = require_real(getattr(self, name), name, InvalidParameterError)
-            if not (math.isfinite(value) and value > 0):
+            if value <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
 
@@ -107,7 +112,7 @@ class ContractionWindow:
 
 
 def _as_times(times) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(times, dtype=float))
+    arr = np.atleast_1d(require_real_array(times, "times", InvalidParameterError))
     if arr.ndim != 1:
         raise InvalidParameterError("times must be a scalar or 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -118,7 +123,7 @@ def _as_times(times) -> np.ndarray:
 def evolve_oscillator(summary: MomentSummary, omega: float, times) -> EvolutionTrace:
     """Analytic variance trajectory for H = hbar omega a^dag a."""
     omega = require_real(omega, "omega", InvalidParameterError)
-    if not (math.isfinite(omega) and omega > 0):
+    if omega <= 0:
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     t = _as_times(times)
     wt = omega * t
@@ -157,6 +162,7 @@ def evolve_free_mass(summary: MomentSummary, scales: PhysicalScales,
 def rql_band(summary: MomentSummary, system: str, scales: PhysicalScales,
              t: float) -> tuple[float, float]:
     """Rigorous (lower, upper) variance bounds at a single time."""
+    t = require_real(t, "t", InvalidParameterError)
     if system == "oscillator":
         trace = evolve_oscillator(summary, scales.omega, [t])
     elif system == "free-mass":
@@ -220,8 +226,6 @@ def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
     Serves as the independent cross-check of the analytic propagation.
     """
     t = require_real(t, "t", InvalidParameterError)
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t}")
     ensure_resolved(state)
     if system == "oscillator":
         phases = np.exp(-1j * scales.omega * t * np.arange(state.dim))

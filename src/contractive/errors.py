@@ -1,6 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input validators
+that raise them."""
 
+import cmath
+import math
 import numbers
+
+import numpy as np
 
 
 class ContractiveError(Exception):
@@ -97,16 +102,44 @@ def require_int(value, name: str, error: type[ContractiveError]) -> int:
 
 
 def require_real(value, name: str, error: type[ContractiveError]) -> float:
-    """value as a Python float; error unless it is a real number (bool
-    excluded, numpy reals accepted)."""
+    """value as a finite Python float; error unless it is a real number (bool
+    excluded, numpy reals accepted) other than nan and +-inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def require_complex(value, name: str, error: type[ContractiveError]) -> complex:
-    """value as a Python complex; error unless it is a number (bool
-    excluded, numpy scalars accepted)."""
+    """value as a finite Python complex; error unless it is a number (bool
+    excluded, numpy scalars accepted) whose parts are not nan or +-inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Complex):
         raise error(f"{name} must be a number, got {value!r}")
-    return complex(value)
+    try:
+        number = complex(value)
+    except OverflowError:  # an int beyond the float range
+        number = complex(math.inf)
+    if not cmath.isfinite(number):
+        raise error(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def require_real_array(values, name: str,
+                       error: type[ContractiveError]) -> np.ndarray:
+    """values as a float array; error unless numpy reads them as integers or
+    reals and no entry of a list or tuple is a bool (strings, complex
+    numbers, None and ragged nesting excluded)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise error(f"{name} must be real numbers, got a ragged sequence") from None
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got {arr.dtype} entries")
+    if isinstance(values, (list, tuple)) and any(isinstance(v, bool) for v in values):
+        raise error(f"{name} must be real numbers, got a bool entry")
+    return arr.astype(float, copy=False)

@@ -69,6 +69,7 @@ class FockVector:
 
     def padded(self, dim: int) -> "FockVector":
         """Embed into a larger space by appending zero amplitudes."""
+        dim = require_int(dim, "dim", InvalidDimensionError)
         if dim < self.dim:
             raise InvalidDimensionError(
                 f"cannot pad dim {self.dim} down to {dim}"
@@ -96,8 +97,7 @@ class FockVector:
             raise InvalidSpecError(f"state file lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed state file: {exc}") from None
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise InvalidSpecError(f"state file dim must be an integer, got {dim!r}")
+        dim = require_int(dim, "state file dim", InvalidSpecError)
         if re.size != dim or im.size != dim:
             raise DimensionMismatchError(
                 f"array lengths {re.size}/{im.size} do not match dim {dim}"

@@ -21,8 +21,10 @@ from .errors import (
     OutOfRangeError,
     SeedConditionError,
     TrivialStateError,
+    require_complex,
     require_int,
     require_real,
+    require_real_array,
 )
 from .fock import FockVector
 
@@ -50,20 +52,25 @@ class PhiSpec:
     free: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidSpecError(f"band start n must be >= 0, got {self.n}")
-        if self.N < self.n + 3:
+        n = require_int(self.n, "band spec n", InvalidSpecError)
+        N = require_int(self.N, "band spec N", InvalidSpecError)
+        if n < 0:
+            raise InvalidSpecError(f"band start n must be >= 0, got {n}")
+        if N < n + 3:
+            raise InvalidSpecError(f"band end N must be >= n + 3, got n={n}, N={N}")
+        try:
+            free = tuple(require_complex(c, "interior coefficient", InvalidSpecError)
+                         for c in self.free)
+        except TypeError:  # not iterable
             raise InvalidSpecError(
-                f"band end N must be >= n + 3, got n={self.n}, N={self.N}"
-            )
-        free = tuple(complex(c) for c in self.free)
-        if len(free) != self.N - 1 - self.n:
+                f"interior coefficients must be a sequence, got {self.free!r}") from None
+        if len(free) != N - 1 - n:
             raise InvalidSpecError(
-                f"need {self.N - 1 - self.n} interior coefficients "
-                f"c_{self.n + 1}..c_{self.N - 1}, got {len(free)}"
+                f"need {N - 1 - n} interior coefficients "
+                f"c_{n + 1}..c_{N - 1}, got {len(free)}"
             )
-        if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in free):
-            raise InvalidSpecError("interior coefficients must be finite")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "free", free)
 
     def to_json_dict(self) -> dict:
@@ -82,9 +89,6 @@ class PhiSpec:
             raise InvalidSpecError(f"band spec lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed band spec: {exc}") from None
-        for name, value in (("n", n), ("N", N)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidSpecError(f"band spec {name} must be an integer, got {value!r}")
         return cls(n=n, N=N, free=free)
 
     @classmethod
@@ -177,8 +181,7 @@ def _finish(amps: np.ndarray, dim: int | None) -> PhiState:
     if norm == 0.0:
         raise TrivialStateError("solved coefficients are identically zero")
     amps = _fix_phase(amps / norm)
-    if dim is None:
-        dim = amps.size
+    dim = amps.size if dim is None else require_int(dim, "dim", InvalidSpecError)
     if dim < amps.size:
         raise InvalidSpecError(
             f"dim {dim} cannot hold a band reaching level {amps.size - 1}"
@@ -231,7 +234,11 @@ def solve_phi_n3(n: int, c1: complex, c2: complex, dim: int | None = None) -> Ph
     c1 and c2 are the interior coefficients c_{n+1}, c_{n+2}. Degenerate when
     |c1| = |c2| (unless one of them is zero jointly with the cross term).
     """
-    c1, c2 = complex(c1), complex(c2)
+    n = require_int(n, "band start n", InvalidSpecError)
+    if n < 0:
+        raise InvalidSpecError(f"band start n must be >= 0, got {n}")
+    c1 = require_complex(c1, "c1", InvalidSpecError)
+    c2 = require_complex(c2, "c2", InvalidSpecError)
     delta = abs(c1) ** 2 - abs(c2) ** 2
     cross = np.conjugate(c1) * c2
     scale = max(abs(c1), abs(c2)) ** 2
@@ -255,7 +262,7 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
     nonnegative weight vector works. n_bar ranges over [0, 3(s-1)] for s
     weights.
     """
-    w = np.asarray(weights, dtype=float)
+    w = require_real_array(weights, "weights", InvalidSpecError)
     if w.ndim != 1 or w.size == 0:
         raise InvalidSpecError("weights must be a non-empty 1-D sequence")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -265,9 +272,10 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
         raise TrivialStateError("lattice weights sum to zero")
     top = 3 * (w.size - 1)
     size = max(top + 1, 2)
-    if dim is not None and dim < size:
+    dim = size if dim is None else require_int(dim, "dim", InvalidSpecError)
+    if dim < size:
         raise InvalidSpecError(f"dim {dim} cannot hold lattice level {top}")
-    amps = np.zeros(dim if dim is not None else size, dtype=complex)
+    amps = np.zeros(dim, dtype=complex)
     amps[0:top + 1:3] = np.sqrt(w / total)
     state = FockVector(amps)
     return PhiState(state=state, n_bar=mean_photon_number(state))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import InvalidParameterError, TrivialStateError
+from .errors import InvalidParameterError, TrivialStateError, require_real
 from .fock import FockVector, ensure_resolved
 from .gcs import ladder_sums, photon_sum
 from .states import SqueezeParams
@@ -120,6 +120,7 @@ def sgcs_predicted_moments(n_bar: float, params: SqueezeParams) -> MomentSummary
     squeezing do not alter as a parameter of these formulas; the full state's
     own <a^dag a> is larger.
     """
+    n_bar = require_real(n_bar, "n_bar", InvalidParameterError)
     if n_bar < 0:
         raise InvalidParameterError(f"n_bar must be >= 0, got {n_bar}")
     r, theta = params.r, params.theta

@@ -14,7 +14,6 @@ takes a block of columns; the operator-identity check in `verify` runs on it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
     require_complex,
+    require_int,
     require_real,
 )
 from .fock import FockVector, ensure_resolved, number_state
@@ -43,8 +43,6 @@ class SqueezeParams:
         for name in ("r", "theta"):
             object.__setattr__(self, name, require_real(
                 getattr(self, name), name, InvalidParameterError))
-        if not math.isfinite(self.r) or not math.isfinite(self.theta):
-            raise InvalidParameterError("squeeze parameters must be finite")
         if self.r < 0:
             raise OutOfRangeError(f"squeeze strength r must be >= 0, got {self.r}")
 
@@ -158,13 +156,6 @@ def _apply(state: FockVector, k: int, c: complex) -> FockVector:
     return result
 
 
-def _require_finite_alpha(alpha) -> complex:
-    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
-    if not cmath.isfinite(alpha):
-        raise InvalidParameterError(f"displacement alpha must be finite, got {alpha}")
-    return alpha
-
-
 def displace(state: FockVector, alpha: complex) -> FockVector:
     """Apply D(alpha); raises TruncationError if the result is under-resolved.
 
@@ -175,7 +166,7 @@ def displace(state: FockVector, alpha: complex) -> FockVector:
     that level; a displacement that does would wrap around the cutoff, and
     is rejected up front (CutoffReachedError) however large alpha is.
     """
-    alpha = _require_finite_alpha(alpha)
+    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     ensure_resolved(state)
     norm = state.norm()
     if norm > 0.0:
@@ -204,7 +195,7 @@ def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
 def make_scs(alpha: complex, params: SqueezeParams,
              dim: int | None = None) -> FockVector:
     """Squeezed coherent state D(alpha) S(xi) |0>."""
-    alpha = _require_finite_alpha(alpha)
+    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is None:
         dim = _auto_dim(0, alpha, params.r)
     return displace(squeeze(number_state(0, dim), params), alpha)
@@ -217,7 +208,9 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     The seed phi must satisfy the vanishing ladder-moment conditions
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
     """
-    alpha = _require_finite_alpha(alpha)
+    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
+    if dim is not None:
+        dim = require_int(dim, "dim", InvalidDimensionError)
     gcs.require_seed(phi)
     seed = phi.normalized()
     top = int(np.nonzero(np.abs(seed.amps) > 1e-14)[0][-1])
@@ -238,15 +231,11 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     Defined up to a global phase. Re lambda must be positive for
     normalizability.
     """
-    lam = complex(lam)
+    lam = require_complex(lam, "lambda", InvalidParameterError)
     mean_x = require_real(mean_x, "mean_x", InvalidParameterError)
     mean_p = require_real(mean_p, "mean_p", InvalidParameterError)
-    if not (cmath.isfinite(lam) and lam.real > 0
-            and math.isfinite(mean_x) and math.isfinite(mean_p)):
-        raise InvalidParameterError(
-            f"need finite lambda with Re lambda > 0 and finite means, "
-            f"got lambda={lam}, mean_x={mean_x}, mean_p={mean_p}"
-        )
+    if lam.real <= 0:
+        raise InvalidParameterError(f"need Re lambda > 0, got lambda={lam}")
     var_gap = (lam.real**2 + lam.imag**2 - 1.0) / (2.0 * lam.real)  # var_p - var_x
     minus_cov = lam.imag / lam.real
     # r from sinh 2r rather than arccosh(var_x + var_p): near r = 0 the latter

@@ -56,6 +56,7 @@ import numpy as np
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
+    require_complex,
     require_int,
     require_real,
 )
@@ -65,7 +66,6 @@ from .moments import lambda_from_moments, summarize
 from .states import (
     SqueezeParams,
     _expm_band,
-    _require_finite_alpha,
     make_scs,
     squeeze,
 )
@@ -173,6 +173,8 @@ def safe_block(dim: int, r: float) -> int:
     products like S a S^dag are only trustworthy on a block whose image
     stays well inside the cutoff.
     """
+    dim = require_int(dim, "dim", InvalidDimensionError)
+    r = require_real(r, "r", InvalidParameterError)
     return min(dim // 2, int(dim / (2.0 * math.exp(2.0 * r))))
 
 
@@ -189,7 +191,7 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
       D(beta, b) = D(alpha, a)
     All residuals shrink rapidly as dim grows for fixed arguments.
     """
-    alpha = _require_finite_alpha(alpha)
+    alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     dim = require_int(dim, "dim", InvalidDimensionError)
     if dim < 32:
         raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")
@@ -492,8 +494,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         seed = _require_rng_seed(seed)
     if radius is not None:
         radius = require_real(radius, "radius", InvalidParameterError)
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise InvalidParameterError(f"radius must be finite and > 0, got {radius}")
+        if radius <= 0.0:
+            raise InvalidParameterError(f"radius must be > 0, got {radius}")
     require_seed(phi)
     if probe_dim == 0:
         # empty probe block: nothing to integrate, identically satisfied
@@ -696,7 +698,7 @@ def run_suite(name: str, budget: int, seed: int) -> dict:
             suite_overcompleteness(max(budget, 10_000), seed),
             suite_identities(budget, seed),
         ]
-    elif name in SUITES:
+    elif isinstance(name, str) and name in SUITES:
         checks = [SUITES[name](budget, seed)]
     else:
         raise InvalidParameterError(f"unknown suite {name!r}")

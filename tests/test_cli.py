@@ -577,6 +577,26 @@ def test_evolve_samples_below_one_usage_error(tmp_path, capsys, samples):
     assert "samples" in err and out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_evolve_non_finite_t_max_usage_error(tmp_path, capsys, value):
+    # rejected before np.linspace, which warns on a non-finite end point
+    path = tmp_path / "vac.json"
+    number_state(0, 32).dump(path)
+    code, out, err = run_cli(
+        capsys, "evolve", str(path), "--system", "free-mass", f"--t-max={value}",
+    )
+    _assert_usage_error(code, err)
+    assert "--t-max" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_sweep_non_finite_nbar_usage_error(capsys, value):
+    # rejected before the lattice shell count, which int() would overflow
+    code, out, err = run_cli(capsys, "sweep", "--kind", "sgcs", f"--nbar={value}")
+    _assert_usage_error(code, err)
+    assert "--nbar" in err and out == ""
+
+
 @pytest.mark.parametrize("suite", ["uncertainty", "rql", "saturation", "all"])
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_verify_budget_below_one_usage_error(capsys, suite, budget):

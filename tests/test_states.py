@@ -23,7 +23,7 @@ from contractive import (
     squeeze,
     summarize,
 )
-from contractive.errors import CutoffReachedError, require_complex
+from contractive.errors import CutoffReachedError, require_complex, require_real
 from contractive.states import _expm_band
 
 from conftest import (
@@ -349,6 +349,20 @@ def test_require_complex():
             require_complex(value, "z", InvalidParameterError)
 
 
+@pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf), 10**400])
+def test_require_real_rejects_non_finite(value):
+    with pytest.raises(InvalidParameterError, match="x must be finite"):
+        require_real(value, "x", InvalidParameterError)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, -math.inf),
+                                   np.complex128(complex(0.0, math.inf)), math.inf,
+                                   10**400])
+def test_require_complex_rejects_non_finite(value):
+    with pytest.raises(InvalidParameterError, match="z must be finite"):
+        require_complex(value, "z", InvalidParameterError)
+
+
 @pytest.mark.parametrize("alpha", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
 def test_builders_reject_non_finite_alpha_before_sizing(alpha):
     # with dim=None the cutoff is sized from |alpha|, which must be finite
@@ -368,6 +382,12 @@ def test_builders_reject_non_finite_alpha_before_sizing(alpha):
 def test_extremal_rejects_non_finite_input(lam, mean_x, mean_p):
     with pytest.raises(InvalidParameterError):
         extremal_fock(lam, mean_x, mean_p)
+
+
+@pytest.mark.parametrize("lam", ["1+1j", "1", True, None, [1, 2]])
+def test_extremal_rejects_non_number_lambda(lam):
+    with pytest.raises(InvalidParameterError, match="lambda must be a number"):
+        extremal_fock(lam)
 
 
 @pytest.mark.parametrize("mean_x,mean_p", [("1", 0.0), (0.0, "1"), (True, 0.0),
