@@ -21,6 +21,7 @@ from .errors import (
 from .fock import (
     FockVector,
     ensure_resolved,
+    ladder_moments,
     number_state,
     random_state,
 )
@@ -28,7 +29,6 @@ from .gcs import (
     PhiSpec,
     PhiState,
     check_phi,
-    ladder_moments,
     lattice_phi,
     lattice_phi_for_nbar,
     solve_phi,

@@ -31,8 +31,7 @@ from .errors import (
     require_real,
     require_real_array,
 )
-from .fock import FockVector, ensure_resolved
-from .gcs import index_weights
+from .fock import FockVector, ensure_resolved, index_weights, support
 from .moments import MomentSummary, summarize
 
 # Free-mass direct evolution embeds the state at >= this multiple of its
@@ -207,11 +206,6 @@ def _p_squared_eig(dim: int):
     return evals, evecs
 
 
-def _occupied_band(state: FockVector) -> int:
-    idx = np.nonzero(np.abs(state.amps) > 1e-13)[0]
-    return int(idx[-1]) + 1 if idx.size else 1
-
-
 def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
                        t: float) -> MomentSummary:
     """Moments after direct wavefunction evolution (dimensionless quadratures).
@@ -233,7 +227,8 @@ def schrodinger_oracle(state: FockVector, system: str, scales: PhysicalScales,
     if system != "free-mass":
         raise InvalidParameterError(f"unknown system {system!r}")
 
-    big = max(ORACLE_BAND_FACTOR * _occupied_band(state), state.dim, 64)
+    band = int(support(state.amps).max(initial=0)) + 1
+    big = max(ORACLE_BAND_FACTOR * band, state.dim, 64)
     evals, evecs = _p_squared_eig(big)
     # Kinetic phase in dimensionless variables: P^2/(2m) t / hbar
     # = (omega t / 2) p^2.

@@ -34,20 +34,23 @@ class TruncationError(ContractiveError):
 
 
 class CutoffReachedError(TruncationError):
-    """A displacement would carry the mean photon number into the top decile
-    of the ladder, where a resolved state keeps almost none of its weight.
+    """A displacement or squeeze would carry the mean photon number into the
+    top decile of the ladder, where a resolved state keeps almost none of its
+    weight.
 
     Raised before the exponential is applied; `n_bar` is the exact mean
-    photon number the displaced state would have without a cutoff.
+    photon number the output would have without a cutoff (inf where that
+    formula overflows), and `limit` the level where the top decile starts.
     """
 
-    def __init__(self, n_bar: float, dim: int):
+    def __init__(self, n_bar: float, dim: int, limit: float):
         self.n_bar = n_bar
         self.dim = dim
+        self.limit = limit
         ContractiveError.__init__(
             self,
-            f"state under-resolved at dim={dim}: displaced mean photon number "
-            f"{n_bar:.3e} reaches 0.9 dim = {0.9 * dim:.3e}",
+            f"state under-resolved at dim={dim}: the output's mean photon number "
+            f"{n_bar:.3e} reaches the top decile of the ladder at {limit:.3e}",
         )
 
 

@@ -1,19 +1,22 @@
-"""Truncated Fock space: state vectors, truncation health, serialization.
+"""Truncated Fock space: states, the ladder, truncation health, serialization.
 
 Everything here is dimensionless (hbar = 1). Quadratures follow
-x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)). Moments come from
-ladder index sums (`gcs.ladder_moments`); no dense operator matrix is built
-here.
+x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)). This module owns the
+truncated ladder: the weight table `index_weights`, the index sums
+`index_sums` (<a>, <a^2>, n_bar) every moment comes from, and the occupied
+support cut `support`. No dense operator matrix is built here.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    CutoffReachedError,
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidSpecError,
@@ -27,8 +30,14 @@ from .errors import (
 # the ladder; states above it are rejected as under-resolved.
 TAIL_MASS_TOL = 1e-8
 
+# The top decile of the ladder starts at this fraction of the cutoff.
+TOP_DECILE = 0.9
+
 # Smallest cutoff at which random_state's envelope keeps the top decile empty.
 RANDOM_STATE_MIN_DIM = 8
+
+# Amplitudes above this magnitude make up a state's occupied support.
+SUPPORT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,11 @@ class FockVector:
         return FockVector(self.amps / n)
 
     def tail_mass(self) -> float:
-        """Probability weight on the top decile of the ladder."""
-        start = int(np.floor(0.9 * self.dim))
-        return float(np.sum(np.abs(self.amps[start:]) ** 2))
+        """Share of the state's weight on the top decile of the ladder, at
+        any norm (0 for the zero vector)."""
+        total = np.vdot(self.amps, self.amps).real
+        tail = self.amps[int(np.floor(TOP_DECILE * self.dim)):]
+        return float(np.vdot(tail, tail).real / total) if total > 0.0 else 0.0
 
     def padded(self, dim: int) -> "FockVector":
         """Embed into a larger space by appending zero amplitudes."""
@@ -148,8 +159,53 @@ def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     return FockVector(amps).normalized()
 
 
+@functools.lru_cache(maxsize=16)
+def index_weights(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only weights of the ladder index sums at cutoff dim.
+
+    (m, sqrt(m + 1), sqrt((m + 1)(m + 2))) over the levels each sum runs
+    across: m < dim for n_bar, m < dim - 1 for <a>, m < dim - 2 for <a^2>.
+    """
+    m = np.arange(dim, dtype=float)
+    tables = (m, np.sqrt(m[:-1] + 1.0), np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def index_sums(amps: np.ndarray) -> tuple[complex, complex, float]:
+    """(<a>, <a^2>, n_bar) of an amplitude array taken as normalized; exact
+    at any cutoff."""
+    m, w1, w2 = index_weights(amps.size)
+    first = (amps[:-1].conj() * amps[1:] * w1).sum()
+    second = (amps[:-2].conj() * amps[2:] * w2).sum()
+    return complex(first), complex(second), float((m * np.abs(amps) ** 2).sum())
+
+
+def ladder_moments(state: FockVector) -> tuple[complex, complex]:
+    """(<a>, <a^2>) by direct index sums; exact at any cutoff."""
+    return index_sums(state.amps)[:2]
+
+
+def support(amps: np.ndarray) -> np.ndarray:
+    """Levels whose amplitude magnitude exceeds SUPPORT_TOL, ascending."""
+    return np.flatnonzero(np.abs(amps) > SUPPORT_TOL)
+
+
 def ensure_resolved(state: FockVector) -> None:
     """Raise TruncationError if the state's tail mass reaches TAIL_MASS_TOL."""
     tail = state.tail_mass()
     if not tail < TAIL_MASS_TOL:
         raise TruncationError(tail, TAIL_MASS_TOL, state.dim)
+
+
+def ensure_mean_resolved(n_bar: float, dim: int) -> None:
+    """Raise CutoffReachedError unless n_bar, the exact mean photon number
+    of a builder's output without a cutoff, stays below the top decile.
+
+    A resolved output keeps all but TAIL_MASS_TOL of its weight below the
+    top decile, so its mean cannot reach it; nan and inf count as past it.
+    """
+    limit = TOP_DECILE * dim
+    if not n_bar < limit:
+        raise CutoffReachedError(n_bar, dim, limit)

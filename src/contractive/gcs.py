@@ -4,12 +4,12 @@ A normalized |phi> with <phi|a|phi> = 0 and <phi|a^2|phi> = 0 stays a
 minimum-structure wave packet under displacement: D(alpha)|phi> has equal
 quadrature variances n_bar + 1/2 and zero covariance for every alpha. This
 module solves for such seeds on a band of number states and provides the
-exact three-spaced lattice family.
+exact three-spaced lattice family. The ladder moments it solves for and
+checks are the index sums of `fock.index_sums`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ from .errors import (
     require_real,
     require_real_array,
 )
-from .fock import FockVector
+from .fock import FockVector, index_sums, ladder_moments
 
 # A candidate seed qualifies when both ladder-moment residuals are below this.
 SEED_RESIDUAL_TOL = 1e-8
@@ -116,44 +116,6 @@ class SeedCheck:
     residual_a2: float
 
 
-@functools.lru_cache(maxsize=16)
-def index_weights(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only weights of the ladder index sums at cutoff dim.
-
-    (m, sqrt(m + 1), sqrt((m + 1)(m + 2))) over the levels each sum runs
-    across: m < dim for n_bar, m < dim - 1 for <a>, m < dim - 2 for <a^2>.
-    """
-    m = np.arange(dim, dtype=float)
-    tables = (m, np.sqrt(m[:-1] + 1.0), np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0)))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def ladder_sums(amps: np.ndarray) -> tuple[complex, complex]:
-    """(<a>, <a^2>) of an amplitude array taken as normalized; exact at any
-    cutoff."""
-    _, w1, w2 = index_weights(amps.size)
-    first = (amps[:-1].conj() * amps[1:] * w1).sum()
-    second = (amps[:-2].conj() * amps[2:] * w2).sum()
-    return complex(first), complex(second)
-
-
-def photon_sum(amps: np.ndarray) -> float:
-    """sum_m m |c_m|^2 of an amplitude array taken as normalized."""
-    return float((index_weights(amps.size)[0] * np.abs(amps) ** 2).sum())
-
-
-def ladder_moments(state: FockVector) -> tuple[complex, complex]:
-    """(<a>, <a^2>) by direct index sums; exact at any cutoff."""
-    return ladder_sums(state.amps)
-
-
-def mean_photon_number(state: FockVector) -> float:
-    """<a^dag a> = sum_m m |c_m|^2 of a normalized state."""
-    return photon_sum(state.amps)
-
-
 def check_phi(state: FockVector) -> SeedCheck:
     """Test the vanishing ladder-moment conditions on a normalized state."""
     first, second = ladder_moments(state.normalized())
@@ -189,13 +151,13 @@ def _finish(amps: np.ndarray, dim: int | None) -> PhiState:
     padded = np.zeros(dim, dtype=complex)
     padded[: amps.size] = amps
     state = FockVector(padded)
-    first, second = ladder_moments(state)
+    first, second, n_bar = index_sums(state.amps)
     if abs(first) >= SOLVE_RESIDUAL_TOL or abs(second) >= SOLVE_RESIDUAL_TOL:
         raise DegenerateSpecError(
             complex(abs(first) + abs(second)),
             "solution residuals too large; system is numerically degenerate",
         )
-    return PhiState(state=state, n_bar=mean_photon_number(state))
+    return PhiState(state=state, n_bar=n_bar)
 
 
 def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
@@ -239,7 +201,11 @@ def solve_phi_n3(n: int, c1: complex, c2: complex, dim: int | None = None) -> Ph
         raise InvalidSpecError(f"band start n must be >= 0, got {n}")
     c1 = require_complex(c1, "c1", InvalidSpecError)
     c2 = require_complex(c2, "c2", InvalidSpecError)
-    delta = abs(c1) ** 2 - abs(c2) ** 2
+    try:
+        delta = abs(c1) ** 2 - abs(c2) ** 2
+    except OverflowError:
+        raise InvalidSpecError(
+            f"|c1|^2 or |c2|^2 overflows: c1 = {c1}, c2 = {c2}") from None
     cross = np.conjugate(c1) * c2
     scale = max(abs(c1), abs(c2)) ** 2
     if scale == 0.0 or abs(delta) < DEGENERATE_DET_TOL * scale:
@@ -278,7 +244,7 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
     amps = np.zeros(dim, dtype=complex)
     amps[0:top + 1:3] = np.sqrt(w / total)
     state = FockVector(amps)
-    return PhiState(state=state, n_bar=mean_photon_number(state))
+    return PhiState(state=state, n_bar=index_sums(state.amps)[2])
 
 
 def lattice_phi_for_nbar(target: float, shells: int,

@@ -15,8 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidParameterError, TrivialStateError, require_real
-from .fock import FockVector, ensure_resolved
-from .gcs import ladder_sums, photon_sum
+from .fock import FockVector, ensure_resolved, index_sums
 from .states import SqueezeParams
 
 # Flags in classify() use this tolerance on variance/covariance comparisons.
@@ -78,8 +77,7 @@ def summarize(state: FockVector) -> MomentSummary:
     if norm == 0.0:
         raise TrivialStateError("cannot normalize the zero vector")
     amps = state.amps / norm
-    first, second = ladder_sums(amps)
-    n_bar = photon_sum(amps)
+    first, second, n_bar = index_sums(amps)
 
     mean_x = math.sqrt(2.0) * first.real
     mean_p = math.sqrt(2.0) * first.imag

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import gcs
 from .errors import (
-    CutoffReachedError,
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
@@ -29,7 +28,15 @@ from .errors import (
     require_int,
     require_real,
 )
-from .fock import FockVector, ensure_resolved, number_state
+from .fock import (
+    FockVector,
+    ensure_mean_resolved,
+    ensure_resolved,
+    index_sums,
+    index_weights,
+    number_state,
+    support,
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,8 @@ def _band(k: int, c: complex, dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    m = np.arange(dim - k, dtype=float)
-    return complex(c) * np.prod([np.sqrt(m + i) for i in range(1, k + 1)], axis=0)
+    w1 = index_weights(dim)[1]  # sqrt(m + 1)
+    return complex(c) * (w1 if k == 1 else w1[:-1] * w1[1:])
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -147,10 +154,24 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     return out
 
 
-def _apply(state: FockVector, k: int, c: complex) -> FockVector:
+def _apply(state: FockVector, k: int, c: complex, mean_after) -> FockVector:
     """exp(G) applied to a resolved state; raises TruncationError if the
-    result is under-resolved."""
+    result is under-resolved.
+
+    mean_after maps the input's index sums (<a>, <a^2>, n_bar) to the exact
+    mean photon number of the output without a cutoff. An operation whose
+    output mean reaches the top decile would wrap around the cutoff, so it
+    is refused (CutoffReachedError) before the exponential, whose work grows
+    with the generator's norm, however large its argument.
+    """
     ensure_resolved(state)
+    norm = state.norm()
+    if norm > 0.0:
+        try:
+            n_bar = mean_after(*index_sums(state.amps / norm))
+        except OverflowError:  # past the float range, so past the cutoff
+            n_bar = math.inf
+        ensure_mean_resolved(n_bar, state.dim)
     result = FockVector(_expm_band(state.amps, k, c))
     ensure_resolved(result)
     return result
@@ -159,35 +180,34 @@ def _apply(state: FockVector, k: int, c: complex) -> FockVector:
 def displace(state: FockVector, alpha: complex) -> FockVector:
     """Apply D(alpha); raises TruncationError if the result is under-resolved.
 
-    Before the exponential, the exact mean photon number of D(alpha)|psi>,
-    n_bar + 2 Re(alpha* <a>) + |alpha|^2 from the input's index sums, is
-    held against the top decile of the ladder. A resolved output keeps all
-    but TAIL_MASS_TOL of its weight below 0.9 dim, so its mean cannot reach
-    that level; a displacement that does would wrap around the cutoff, and
-    is rejected up front (CutoffReachedError) however large alpha is.
+    The output's exact mean is n_bar + 2 Re(alpha* <a>) + |alpha|^2.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
-    ensure_resolved(state)
-    norm = state.norm()
-    if norm > 0.0:
-        amps = state.amps / norm
-        first, _ = gcs.ladder_sums(amps)
-        n_bar = (gcs.photon_sum(amps) + 2.0 * (alpha.conjugate() * first).real
-                 + abs(alpha) ** 2)
-        if n_bar >= 0.9 * state.dim:
-            raise CutoffReachedError(n_bar, state.dim)
-    return _apply(state, 1, alpha)
+    return _apply(state, 1, alpha, lambda first, second, n_bar: (
+        n_bar + 2.0 * (alpha.conjugate() * first).real + abs(alpha) ** 2))
 
 
 def squeeze(state: FockVector, params: SqueezeParams) -> FockVector:
-    """Apply S(xi); raises TruncationError if the result is under-resolved."""
-    return _apply(state, 2, -0.5 * params.xi)
+    """Apply S(xi); raises TruncationError if the result is under-resolved.
+
+    The output's exact mean is
+    n_bar cosh 2r + sinh^2 r - sinh 2r Re(e^{-i theta} <a^2>).
+    """
+    r, unrotate = params.r, complex(math.cos(params.theta), -math.sin(params.theta))
+    return _apply(state, 2, -0.5 * params.xi, lambda first, second, n_bar: (
+        n_bar * math.cosh(2.0 * r) + math.sinh(r) ** 2
+        - math.sinh(2.0 * r) * (unrotate * second).real))
 
 
 def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
     # Generous occupancy estimate: squeezing scales the band by e^{2r},
     # displacement adds ~|alpha|^2 photons.
-    est = (top_level + 1) * math.exp(2 * r) + 2.0 * (abs(alpha) + 1.0) ** 2
+    try:
+        est = (top_level + 1) * math.exp(2 * r) + 2.0 * (abs(alpha) + 1.0) ** 2
+    except OverflowError:
+        raise OutOfRangeError(
+            f"no cutoff holds r = {r}, alpha = {alpha}: the automatic one overflows"
+        ) from None
     dim = max(64, int(math.ceil(4 * est)))
     return ((dim + 31) // 32) * 32
 
@@ -213,9 +233,8 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
         dim = require_int(dim, "dim", InvalidDimensionError)
     gcs.require_seed(phi)
     seed = phi.normalized()
-    top = int(np.nonzero(np.abs(seed.amps) > 1e-14)[0][-1])
     if dim is None:
-        dim = _auto_dim(top, alpha, params.r)
+        dim = _auto_dim(int(support(seed.amps)[-1]), alpha, params.r)
     return displace(squeeze(seed.padded(max(dim, phi.dim)), params), alpha)
 
 
@@ -236,7 +255,10 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     mean_p = require_real(mean_p, "mean_p", InvalidParameterError)
     if lam.real <= 0:
         raise InvalidParameterError(f"need Re lambda > 0, got lambda={lam}")
-    var_gap = (lam.real**2 + lam.imag**2 - 1.0) / (2.0 * lam.real)  # var_p - var_x
+    try:
+        var_gap = (lam.real**2 + lam.imag**2 - 1.0) / (2.0 * lam.real)  # var_p - var_x
+    except OverflowError:  # |lambda|^2 past the float range
+        var_gap = 0.5 * abs(lam) * (abs(lam) / lam.real) - 0.5 / lam.real
     minus_cov = lam.imag / lam.real
     # r from sinh 2r rather than arccosh(var_x + var_p): near r = 0 the latter
     # turns rounding in var_x + var_p into an error of order sqrt(eps) in r.

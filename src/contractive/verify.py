@@ -60,15 +60,16 @@ from .errors import (
     require_int,
     require_real,
 )
-from .fock import FockVector, random_state
-from .gcs import ladder_moments, lattice_phi, mean_photon_number, require_seed
-from .moments import lambda_from_moments, summarize
-from .states import (
-    SqueezeParams,
-    _expm_band,
-    make_scs,
-    squeeze,
+from .fock import (
+    FockVector,
+    index_sums,
+    index_weights,
+    random_state,
+    support,
 )
+from .gcs import lattice_phi, require_seed
+from .moments import lambda_from_moments, summarize
+from .states import SqueezeParams, _expm_band, make_scs, squeeze
 from .dynamics import PhysicalScales, evolve_free_mass, evolve_oscillator
 
 # Identity-resolution deviation target for the default Monte Carlo budget of
@@ -158,7 +159,7 @@ def _ladder(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     a^dag drops the top level exactly as the truncated dense matrix does.
     """
-    sqrt_m = np.sqrt(np.arange(1, v.shape[0])).reshape((-1,) + (1,) * (v.ndim - 1))
+    sqrt_m = index_weights(v.shape[0])[1].reshape((-1,) + (1,) * (v.ndim - 1))
     lowered = np.zeros_like(v)
     raised = np.zeros_like(v)
     lowered[:-1] = sqrt_m * v[1:]
@@ -175,7 +176,10 @@ def safe_block(dim: int, r: float) -> int:
     """
     dim = require_int(dim, "dim", InvalidDimensionError)
     r = require_real(r, "r", InvalidParameterError)
-    return min(dim // 2, int(dim / (2.0 * math.exp(2.0 * r))))
+    try:
+        return min(dim // 2, int(dim / (2.0 * math.exp(2.0 * r))))
+    except OverflowError:  # so wide a spread leaves no block
+        return 0
 
 
 def check_conjugation_identities(alpha: complex, params: SqueezeParams,
@@ -248,9 +252,8 @@ def audit_extremal(state: FockVector) -> ExtremalAudit:
     """
     summary = summarize(state)
     lam = lambda_from_moments(summary)
-    state = state.normalized()
-    psi = state.amps
-    mean_a, _ = ladder_moments(state)
+    psi = state.normalized().amps
+    mean_a, _, _ = index_sums(psi)
     a_psi, adag_psi = _ladder(psi)
     # p - i lam x = -i ((1 + lam) a + (lam - 1) a^dag) / sqrt(2), and
     # <p> - i lam <x> = sqrt(2) (Im<a> - i lam Re<a>).
@@ -273,12 +276,12 @@ def _schedule(chi: np.ndarray, probe_dim: int):
     the element is order j of offset m - j, for m < j order m of offset
     j - m, so each level reads a key at most once and at a higher order.
     """
-    support = [int(m) for m in np.nonzero(np.abs(chi) > 1e-13)[0]]
+    levels = [int(m) for m in support(chi)]
     last: dict[tuple[bool, int], int] = {}
-    for m in support:
+    for m in levels:
         for j in range(probe_dim):
             last[(m >= j, abs(m - j))] = m
-    return support, last
+    return levels, last
 
 
 class _LaguerreChain:
@@ -505,7 +508,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             radius=0.0, grid_spec=None,
         )
     chi = _seed_to_chi(phi, params, dim)
-    n_bar_chi = mean_photon_number(chi)
+    n_bar_chi = index_sums(chi.amps)[2]
     if radius is None:
         # Tightest disk whose excluded probe-block mass stays below a tenth
         # of the deviation target; the closed formula is the safety cap.
@@ -527,7 +530,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             gram += (radius**2 / budget) * (block @ block.conj().T)
         grid_spec = None
     else:
-        top = int(np.nonzero(np.abs(chi.amps) > 1e-13)[0][-1])
+        top = int(support(chi.amps)[-1])
         n_ang = 2 * (top + probe_dim) + 9
         n_rad = max(64, min(512, budget // n_ang if budget >= n_ang else 64))
         nodes, weights = np.polynomial.legendre.leggauss(n_rad)

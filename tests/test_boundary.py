@@ -7,6 +7,9 @@ argument is a keyword, or a keyword plus an index or key when the value sits
 inside a sequence or a JSON dict. Every bad value is substituted into the
 valid call in turn. Object-typed arguments (state, params, rng, summary)
 stay out: a wrong object type raising AttributeError is ordinary Python.
+
+Finite values whose squares or exponentials leave the float range end the
+same way, or in the outcome their call documents.
 """
 
 import math
@@ -18,6 +21,8 @@ import pytest
 from contractive import (
     ContractiveError,
     FockVector,
+    InvalidSpecError,
+    OutOfRangeError,
     PhiSpec,
     PhysicalScales,
     SqueezeParams,
@@ -42,6 +47,7 @@ from contractive import (
     solve_phi_n3,
     summarize,
 )
+from contractive.cli import main
 
 # Invalid for every numeric scalar; each kind adds what its type rules out.
 _ANY = (True, "1", math.nan, math.inf, None, [1, 2])
@@ -190,3 +196,39 @@ def test_valid_call_succeeds(fn, kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fn(**kwargs)
+
+
+# Finite inputs past the float range once squared or exponentiated, and the
+# outcome each one documents: a return value, a ContractiveError subclass,
+# or a CLI exit code with one "state under-resolved" line on stderr.
+OVERFLOWING = [
+    pytest.param(lambda: safe_block(64, 400.0), 0, id="safe_block-r=400"),
+    pytest.param(lambda: solve_phi_n3(0, 1e200, 1.0), InvalidSpecError,
+                 id="solve_phi_n3-c1=1e200"),
+    pytest.param(lambda: make_scs(0, SqueezeParams(r=400.0)), OutOfRangeError,
+                 id="make_scs-auto-dim-r=400"),
+    pytest.param(["state", "build", "extremal", "--lam", "1e200"], 1,
+                 id="cli-extremal-lam=1e200"),
+    pytest.param(["state", "build", "extremal", "--mean-x", "1e200"], 1,
+                 id="cli-extremal-mean-x=1e200"),
+    pytest.param(["state", "build", "coherent", "--alpha", "1e200"], 1,
+                 id="cli-coherent-alpha=1e200"),
+]
+
+
+@pytest.mark.parametrize("call, outcome", OVERFLOWING)
+def test_overflowing_input_ends_in_its_documented_outcome(call, outcome, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(call, list):
+            assert main(call) == outcome
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert captured.out == "" and len(lines) == 1
+            assert lines[0].startswith("error: state under-resolved")
+        elif isinstance(outcome, type):
+            with pytest.raises(outcome) as info:
+                call()
+            assert "\n" not in str(info.value)
+        else:
+            assert call() == outcome

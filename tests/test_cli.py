@@ -386,17 +386,44 @@ def test_console_script_installed():
 def test_displacement_reaching_cutoff_exits_1_at_once(alpha):
     # before the up-front check, alpha 40 printed a wrapped-around state
     # (n_bar 63.75 instead of 1,600) and alpha 100000 ran for minutes
+    _assert_under_resolved_at_once(
+        "state", "build", "coherent", "--alpha", alpha, "--dim", "256")
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "build", "sgcs", "--target-nbar", "1", "--r", "1e10"),
+    ("state", "build", "scs", "--r", "1e5"),
+])
+def test_squeeze_reaching_cutoff_exits_1_at_once(argv):
+    # before the up-front check, r = 1e10 died allocating 9.13 TiB for the
+    # Bessel coefficients, and the squeeze's work grew linearly in r
+    _assert_under_resolved_at_once(*argv)
+
+
+def _assert_under_resolved_at_once(*argv):
     root = str(Path(contractive.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "contractive.cli", "state", "build", "coherent",
-         "--alpha", alpha, "--dim", "256"],
+        [sys.executable, "-m", "contractive.cli", *argv],
         capture_output=True, text=True, timeout=20, env=env,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: state under-resolved at dim=")
+
+
+def test_small_norm_state_with_tail_exits_1(tmp_path, capsys):
+    # half its weight sits on the top level; at amplitude 1e-5 the absolute
+    # tail mass read 1e-10, and `state moments` printed n_bar 15.5, exit 0
+    amps = np.zeros(32, dtype=complex)
+    amps[[0, 31]] = 1e-5
+    path = tmp_path / "tiny.json"
+    FockVector(amps).dump(path)
+    code, out, err = run_cli(capsys, "state", "moments", str(path))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: state under-resolved")
 
 

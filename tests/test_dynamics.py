@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractive import (
@@ -272,12 +272,14 @@ def test_oracle_free_mass_preserves_momentum_moments():
     t=st.floats(0.0, 1.42),
 )
 @settings(max_examples=40, deadline=None)
+@example(dim=112, seed=73294, t=1.25)  # var_x ~ 22 differs by 1.25e-12
 def test_free_mass_oracle_matches_retired_complex_product(dim, seed, t):
     state = random_state(dim, np.random.default_rng(seed))
     got = schrodinger_oracle(state, "free-mass", HBAR1, t)
     want = summarize(FockVector(free_mass_oracle_reference(state.amps, t)))
     for name in ("var_x", "var_p", "cov", "n_bar"):
-        assert abs(getattr(got, name) - getattr(want, name)) < 1e-12, name
+        value = getattr(want, name)
+        assert abs(getattr(got, name) - value) < 1e-12 * max(1.0, abs(value)), name
 
 
 def test_free_mass_oracle_rejects_outgrown_embedding():

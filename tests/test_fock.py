@@ -12,6 +12,7 @@ from contractive import (
     ensure_resolved,
     number_state,
     random_state,
+    summarize,
 )
 from contractive.errors import DimensionMismatchError, TrivialStateError
 from contractive.fock import RANDOM_STATE_MIN_DIM
@@ -116,6 +117,20 @@ def test_tail_mass_vacuum_resolved():
     state = number_state(0, 16)
     assert state.tail_mass() == 0.0
     ensure_resolved(state)
+
+
+def test_tail_mass_is_relative_to_the_state_weight():
+    # half the weight on the top level: an absolute measure read 1e-10 here
+    # and let the state through, though every consumer normalizes it first
+    amps = np.zeros(32, dtype=complex)
+    amps[[0, 31]] = 1e-5
+    state = FockVector(amps)
+    assert state.tail_mass() == pytest.approx(0.5)
+    assert FockVector(np.zeros(32, dtype=complex)).tail_mass() == 0.0
+    with pytest.raises(TruncationError):
+        ensure_resolved(state)
+    with pytest.raises(TruncationError):
+        summarize(state)
 
 
 def test_truncated_coherent_alpha2_dim8_unresolved():

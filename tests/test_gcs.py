@@ -21,7 +21,7 @@ from contractive import (
     solve_phi_n3,
     summarize,
 )
-from contractive.gcs import index_weights, ladder_moments, mean_photon_number
+from contractive.fock import index_sums, index_weights, ladder_moments
 
 from conftest import coherent_amps, index_sums_reference, ladder_moments_direct
 
@@ -58,8 +58,7 @@ def test_index_sums_bit_identical_to_retired_path(dim, seed):
     rng = np.random.default_rng(seed)
     state = FockVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     first, second, n_bar = index_sums_reference(state.amps)
-    assert ladder_moments(state) == (first, second)
-    assert mean_photon_number(state) == n_bar
+    assert index_sums(state.amps) == (first, second, n_bar)
 
 
 def test_index_weights_cached_and_read_only():

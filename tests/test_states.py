@@ -161,6 +161,33 @@ def test_displacement_reaching_cutoff_is_rejected_up_front():
     assert excinfo.value.n_bar == pytest.approx(64.0)
 
 
+def test_squeeze_reaching_cutoff_is_rejected_up_front():
+    dim = 64
+    # vacuum: the exact mean is sinh^2 r. r = 2 (13.2) passes the up-front
+    # check and fails only the tail check; r = 3 (100.3) is refused first
+    with pytest.raises(TruncationError) as excinfo:
+        squeeze(number_state(0, dim), SqueezeParams(r=2.0))
+    assert not isinstance(excinfo.value, CutoffReachedError)
+    with pytest.raises(CutoffReachedError) as excinfo:
+        squeeze(number_state(0, dim), SqueezeParams(r=3.0))
+    assert excinfo.value.n_bar == pytest.approx(math.sinh(3.0) ** 2)
+    # the exact mean n_bar cosh 2r + sinh^2 r - sinh 2r Re(e^{-i theta} <a^2>)
+    # counts the input's own <a^2>: from alpha = 6 (n_bar 36) at dim 96,
+    # r = 0.5 along theta = 0 lowers it to 13.5, along theta = pi raises it
+    # to 98.1, past 0.9 dim = 86.4
+    start = displace(number_state(0, 96), 6.0)
+    ch, sh = math.cosh(1.0), math.sinh(1.0)
+    lowered = summarize(squeeze(start, SqueezeParams(r=0.5))).n_bar
+    assert lowered == pytest.approx(36.0 * ch + math.sinh(0.5) ** 2 - 36.0 * sh)
+    with pytest.raises(CutoffReachedError) as excinfo:
+        squeeze(start, SqueezeParams(r=0.5, theta=math.pi))
+    assert excinfo.value.n_bar == pytest.approx(36.0 * ch + math.sinh(0.5) ** 2 + 36.0 * sh)
+    # an r whose cosh 2r overflows is past any cutoff, and refused at once
+    with pytest.raises(CutoffReachedError) as excinfo:
+        squeeze(number_state(0, dim), SqueezeParams(r=1e10))
+    assert excinfo.value.n_bar == math.inf
+
+
 def test_make_scs_auto_dim_resolved():
     state = make_scs(1.5 + 0.5j, SqueezeParams(r=0.8, theta=2.0))
     assert state.tail_mass() < 1e-8

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from contractive import (
-    FockVector,
     InvalidDimensionError,
     InvalidParameterError,
     SeedConditionError,
@@ -110,15 +109,14 @@ def test_conjugation_matches_dense_oracle(alpha, r, theta, dim):
 
 
 def test_conjugation_reads_truncated_columns_without_raising():
-    # at dim 128, r = 0.7 the top block column a S^dag|14> reaches the
-    # cutoff; that truncation is the residual the check reports, so the
-    # check must not refuse it the way the state builders do
+    # at dim 128, r = 0.7 the safe block ends at level 14, one short of
+    # S(-xi)|15>, which the state builders refuse as under-resolved; the
+    # check reads the block's columns that near the cutoff, and their
+    # truncation is the residual it reports, so it must not refuse them
     params = SqueezeParams(r=0.7, theta=1.1)
     inverse = SqueezeParams(r=0.7, theta=1.1 + math.pi)  # S(-xi)
-    col = squeeze(number_state(14, 128), inverse).amps
-    a_col = np.concatenate([np.sqrt(np.arange(1, 128)) * col[1:], [0.0]])
     with pytest.raises(TruncationError):
-        squeeze(FockVector(a_col), params)
+        squeeze(number_state(15, 128), inverse)
     report = check_conjugation_identities(1.0 + 0.5j, params, dim=128)
     assert report.block == 15
     assert 1e-12 < report.squeeze_conjugation < 1e-8
