@@ -17,6 +17,7 @@ from .errors import (
     SeedConditionError,
     TrivialStateError,
     TruncationError,
+    UsageError,
 )
 from .fock import (
     FockVector,
@@ -78,7 +79,7 @@ __all__ = [
     "ContractiveError", "DegenerateSpecError", "DimensionMismatchError",
     "InvalidDimensionError", "InvalidParameterError", "InvalidSpecError",
     "NotContractiveError", "OutOfRangeError", "SeedConditionError",
-    "TrivialStateError", "TruncationError",
+    "TrivialStateError", "TruncationError", "UsageError",
     "FockVector", "ensure_resolved", "number_state", "random_state",
     "PhiSpec", "PhiState", "check_phi", "ladder_moments", "lattice_phi",
     "lattice_phi_for_nbar", "solve_phi", "solve_phi_n3",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a physics check or state construction
-fails, 2 on usage errors. All randomized commands take a seed, and identical
-configuration plus seed produces byte-identical output.
+fails, 2 on usage errors (a UsageError or an argparse error). All
+randomized commands take a seed, and identical configuration plus seed
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 from . import dynamics, gcs, moments, states, verify
 from .errors import (
     ContractiveError,
-    DimensionMismatchError,
-    InvalidDimensionError,
     InvalidParameterError,
-    InvalidSpecError,
     NotContractiveError,
     OutOfRangeError,
+    UsageError,
+    require_int,
     require_real,
 )
 from .fock import FockVector, number_state
@@ -124,12 +124,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             config = replace(config, **{name: value})
-    if config.dim < 16:
-        raise OutOfRangeError(
-            f"dim must be >= 16 for physics commands, got {config.dim}"
-        )
-    if config.seed < 0:
-        raise OutOfRangeError(f"seed must be >= 0, got {config.seed}")
+    require_int(config.dim, "dim", OutOfRangeError, minimum=16)
+    require_int(config.seed, "seed", OutOfRangeError, minimum=0)
     return config
 
 
@@ -224,8 +220,7 @@ def cmd_state_moments(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.samples < 1:
-        raise OutOfRangeError(f"--samples must be >= 1, got {args.samples}")
+    require_int(args.samples, "--samples", OutOfRangeError, minimum=1)
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
     scales = _scales(config)
@@ -430,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_gcs_solve)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=(
-        "uncertainty", "rql", "saturation", "overcompleteness",
-        "identities", "all"))
+    p_verify.add_argument("suite", choices=(*verify.SUITES, "all"))
     p_verify.add_argument("--budget", type=int, default=200)
     _add_settings(p_verify, "seed")
     p_verify.set_defaults(func=cmd_verify)
@@ -455,16 +448,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _resolve_config(args))
-    except (OutOfRangeError, InvalidSpecError, InvalidParameterError,
-            DimensionMismatchError, InvalidDimensionError) as exc:
-        # bad parameter values and malformed input files are usage errors,
-        # like unparseable ones
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ContractiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ContractiveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

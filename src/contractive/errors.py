@@ -12,11 +12,17 @@ class ContractiveError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InvalidDimensionError(ContractiveError):
+class UsageError(ContractiveError):
+    """Base class of the errors that blame the input rather than the physics:
+    a malformed, out-of-range or inconsistent argument or file. The CLI exits
+    2 on these and 1 on every other ContractiveError."""
+
+
+class InvalidDimensionError(UsageError):
     """Requested Fock-space dimension is too small or inconsistent."""
 
 
-class DimensionMismatchError(ContractiveError):
+class DimensionMismatchError(UsageError):
     """Operands live in Fock spaces of different dimension."""
 
 
@@ -54,11 +60,11 @@ class CutoffReachedError(TruncationError):
         )
 
 
-class OutOfRangeError(ContractiveError):
+class OutOfRangeError(UsageError):
     """A level index or parameter falls outside its admissible range."""
 
 
-class InvalidSpecError(ContractiveError):
+class InvalidSpecError(UsageError):
     """A state specification is structurally invalid."""
 
 
@@ -92,16 +98,20 @@ class NotContractiveError(ContractiveError):
     """Requested a contraction window for a state with non-negative covariance."""
 
 
-class InvalidParameterError(ContractiveError):
+class InvalidParameterError(UsageError):
     """A physical parameter violates its constraint (e.g. non-positive mass)."""
 
 
-def require_int(value, name: str, error: type[ContractiveError]) -> int:
+def require_int(value, name: str, error: type[ContractiveError],
+                minimum: int | None = None) -> int:
     """value as a Python int; error unless it is an integer (bool excluded,
-    numpy integers accepted)."""
+    numpy integers accepted) of at least minimum, when one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def require_real(value, name: str, error: type[ContractiveError]) -> float:

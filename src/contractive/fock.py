@@ -149,11 +149,7 @@ def random_state(dim: int, rng: np.random.Generator) -> FockVector:
     from dim 8 up. Smaller cutoffs cannot hold a random state below
     TAIL_MASS_TOL and raise InvalidDimensionError.
     """
-    dim = require_int(dim, "dim", InvalidDimensionError)
-    if dim < RANDOM_STATE_MIN_DIM:
-        raise InvalidDimensionError(
-            f"random states need dim >= {RANDOM_STATE_MIN_DIM}, got {dim}"
-        )
+    dim = require_int(dim, "dim", InvalidDimensionError, minimum=RANDOM_STATE_MIN_DIM)
     envelope = np.exp(-((np.arange(dim) / max(2, dim // 5)) ** 2))
     amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * envelope
     return FockVector(amps).normalized()

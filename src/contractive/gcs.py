@@ -11,6 +11,7 @@ checks are the index sums of `fock.index_sums`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,8 @@ class PhiSpec:
     free: tuple[complex, ...]
 
     def __post_init__(self):
-        n = require_int(self.n, "band spec n", InvalidSpecError)
-        N = require_int(self.N, "band spec N", InvalidSpecError)
-        if n < 0:
-            raise InvalidSpecError(f"band start n must be >= 0, got {n}")
-        if N < n + 3:
-            raise InvalidSpecError(f"band end N must be >= n + 3, got n={n}, N={N}")
+        n = require_int(self.n, "band spec n", InvalidSpecError, minimum=0)
+        N = require_int(self.N, "band spec N", InvalidSpecError, minimum=n + 3)
         try:
             free = tuple(require_complex(c, "interior coefficient", InvalidSpecError)
                          for c in self.free)
@@ -170,6 +167,11 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
     n, N = spec.n, spec.N
     c = np.zeros(N + 1, dtype=complex)
     c[n + 1:N] = spec.free
+    # The conditions are homogeneous in c and _finish normalizes, so scaling
+    # by a power of two changes no bits; taken from the largest part, it
+    # keeps the products below in the float range however large c is.
+    interior = c[n + 1:N].view(float)
+    np.ldexp(interior, -math.frexp(np.max(np.abs(interior)))[1], out=interior)
 
     mat = np.array([
         [c[n + 1] * np.sqrt(n + 1.0), np.conjugate(c[N - 1]) * np.sqrt(float(N))],
@@ -196,9 +198,7 @@ def solve_phi_n3(n: int, c1: complex, c2: complex, dim: int | None = None) -> Ph
     c1 and c2 are the interior coefficients c_{n+1}, c_{n+2}. Degenerate when
     |c1| = |c2| (unless one of them is zero jointly with the cross term).
     """
-    n = require_int(n, "band start n", InvalidSpecError)
-    if n < 0:
-        raise InvalidSpecError(f"band start n must be >= 0, got {n}")
+    n = require_int(n, "band start n", InvalidSpecError, minimum=0)
     c1 = require_complex(c1, "c1", InvalidSpecError)
     c2 = require_complex(c2, "c2", InvalidSpecError)
     try:
@@ -256,9 +256,7 @@ def lattice_phi_for_nbar(target: float, shells: int,
     lie in [0, 3*shells].
     """
     target = require_real(target, "target", InvalidSpecError)
-    shells = require_int(shells, "shells", InvalidSpecError)
-    if shells < 1:
-        raise InvalidSpecError(f"shells must be >= 1, got {shells}")
+    shells = require_int(shells, "shells", InvalidSpecError, minimum=1)
     top_nbar = 3.0 * shells
     if not 0.0 <= target <= top_nbar:
         raise OutOfRangeError(

@@ -29,6 +29,8 @@ from .errors import (
     require_real,
 )
 from .fock import (
+    TAIL_MASS_TOL,
+    TOP_DECILE,
     FockVector,
     ensure_mean_resolved,
     ensure_resolved,
@@ -37,6 +39,10 @@ from .fock import (
     number_state,
     support,
 )
+
+# Largest cutoff make_scs and make_sgcs choose on their own; a state that
+# needs more must be given its dim.
+AUTO_DIM_MAX = 2**14
 
 
 @dataclass(frozen=True)
@@ -200,21 +206,42 @@ def squeeze(state: FockVector, params: SqueezeParams) -> FockVector:
 
 
 def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
-    # Generous occupancy estimate: squeezing scales the band by e^{2r},
-    # displacement adds ~|alpha|^2 photons.
-    try:
-        est = (top_level + 1) * math.exp(2 * r) + 2.0 * (abs(alpha) + 1.0) ** 2
-    except OverflowError:
+    """Cutoff for D(alpha) S(xi) applied to a seed reaching top_level.
+
+    A squeezed vacuum's weights fall by tanh^2 r per two levels, so its tail
+    drops below TAIL_MASS_TOL within ln(1 / TAIL_MASS_TOL) / -ln(tanh r)
+    levels. A seed adds about three nats to ln(1 / TAIL_MASS_TOL) for each
+    level it reaches (fitted on lattice seeds up to level 9), and a
+    displacement moves the phase-space radius sqrt(level) out by |alpha|.
+    The top decile starts past the level reached; the cutoff is a multiple
+    of 32, at least 64, and one above AUTO_DIM_MAX is refused before
+    anything is allocated.
+    """
+    if r > 0:
+        # -ln tanh r = ln(1 + 2 e^{-2r} / (1 - e^{-2r})), finite for tiny r
+        decay = math.log1p(2.0 * math.exp(-2.0 * r) / -math.expm1(-2.0 * r))
+        tail = -math.log(TAIL_MASS_TOL) + 3.0 * top_level
+        spread = top_level + tail / decay if decay > 0 else math.inf
+    else:
+        spread = top_level
+    radius = abs(alpha) + math.sqrt(spread)
+    dim = radius * radius / TOP_DECILE  # inf, not OverflowError, past the range
+    if not dim <= AUTO_DIM_MAX:
         raise OutOfRangeError(
-            f"no cutoff holds r = {r}, alpha = {alpha}: the automatic one overflows"
-        ) from None
-    dim = max(64, int(math.ceil(4 * est)))
-    return ((dim + 31) // 32) * 32
+            f"no automatic cutoff up to {AUTO_DIM_MAX} holds r = {r}, "
+            f"alpha = {alpha}; pass dim"
+        )
+    return max(64, 32 * math.ceil(dim / 32))
 
 
 def make_scs(alpha: complex, params: SqueezeParams,
              dim: int | None = None) -> FockVector:
-    """Squeezed coherent state D(alpha) S(xi) |0>."""
+    """Squeezed coherent state D(alpha) S(xi) |0>.
+
+    With dim None the cutoff is chosen to hold the state's tail; a state
+    that needs more than AUTO_DIM_MAX = 2**14 levels (r above about 3.65
+    at alpha = 0) raises OutOfRangeError unless dim is given.
+    """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is None:
         dim = _auto_dim(0, alpha, params.r)
@@ -227,6 +254,8 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
 
     The seed phi must satisfy the vanishing ladder-moment conditions
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
+    With dim None the cutoff is chosen as in make_scs, from the seed's top
+    level too, and one above AUTO_DIM_MAX = 2**14 raises OutOfRangeError.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is not None:
@@ -262,6 +291,8 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     minus_cov = lam.imag / lam.real
     # r from sinh 2r rather than arccosh(var_x + var_p): near r = 0 the latter
     # turns rounding in var_x + var_p into an error of order sqrt(eps) in r.
-    params = SqueezeParams(r=0.5 * math.asinh(math.hypot(var_gap, minus_cov)),
-                           theta=math.atan2(minus_cov, var_gap))
+    r = 0.5 * math.asinh(math.hypot(var_gap, minus_cov))
+    if not math.isfinite(r):  # a packet that wide is past every cutoff
+        ensure_mean_resolved(math.inf, require_int(dim, "dim", InvalidDimensionError))
+    params = SqueezeParams(r=r, theta=math.atan2(minus_cov, var_gap))
     return make_scs(complex(mean_x, mean_p) / math.sqrt(2.0), params, dim=dim)

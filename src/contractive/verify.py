@@ -132,24 +132,6 @@ class OvercompletenessReport:
         return asdict(self)
 
 
-def _require_budget(budget) -> int:
-    """budget as a Python int; InvalidParameterError unless it is an integer
-    (bool excluded, numpy integers accepted) of at least 1."""
-    budget = require_int(budget, "budget", InvalidParameterError)
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
-    return budget
-
-
-def _require_rng_seed(seed) -> int:
-    """seed as a Python int; InvalidParameterError unless it is an integer
-    (bool excluded, numpy integers accepted) of at least 0."""
-    seed = require_int(seed, "seed", InvalidParameterError)
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _block_norm(matrix: np.ndarray, block: int) -> float:
     return float(np.linalg.norm(matrix[:block, :block], 2))
 
@@ -196,9 +178,7 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
     All residuals shrink rapidly as dim grows for fixed arguments.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
-    dim = require_int(dim, "dim", InvalidDimensionError)
-    if dim < 32:
-        raise InvalidDimensionError(f"conjugation checks need dim >= 32, got {dim}")
+    dim = require_int(dim, "dim", InvalidDimensionError, minimum=32)
     if block is None:
         block = safe_block(dim, params.r)
     block = require_int(block, "block", InvalidDimensionError)
@@ -492,9 +472,9 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         raise InvalidDimensionError(
             f"probe_dim {probe_dim} must lie in [0, dim/4 = {dim // 4}]"
         )
-    budget = _require_budget(budget)
+    budget = require_int(budget, "budget", InvalidParameterError, minimum=1)
     if method == "monte-carlo":
-        seed = _require_rng_seed(seed)
+        seed = require_int(seed, "seed", InvalidParameterError, minimum=0)
     if radius is not None:
         radius = require_real(radius, "radius", InvalidParameterError)
         if radius <= 0.0:
@@ -688,8 +668,8 @@ SUITES = {
 
 def run_suite(name: str, budget: int, seed: int) -> dict:
     """Run one named suite, or all of them, returning a JSON-ready report."""
-    budget = _require_budget(budget)
-    seed = _require_rng_seed(seed)
+    budget = require_int(budget, "budget", InvalidParameterError, minimum=1)
+    seed = require_int(seed, "seed", InvalidParameterError, minimum=0)
     if name == "all":
         # Saturation builds and audits a squeezed coherent state per draw
         # and rql runs two propagations per state; keep their state counts

@@ -20,7 +20,10 @@ import pytest
 
 from contractive import (
     ContractiveError,
+    DegenerateSpecError,
     FockVector,
+    InvalidDimensionError,
+    InvalidParameterError,
     InvalidSpecError,
     OutOfRangeError,
     PhiSpec,
@@ -198,6 +201,54 @@ def test_valid_call_succeeds(fn, kwargs):
         fn(**kwargs)
 
 
+# Integer arguments one below their lower bound: require_int's `minimum`
+# raises the class each call raised before with one message form.
+BELOW_MINIMUM = [
+    (PhiSpec, dict(n=-1, N=3, free=(1.0, 0.5)), InvalidSpecError,
+     "band spec n must be >= 0, got -1"),
+    (PhiSpec, dict(n=1, N=3, free=(1.0,)), InvalidSpecError,
+     "band spec N must be >= 4, got 3"),
+    (solve_phi_n3, dict(n=-1, c1=1.0, c2=0.5), InvalidSpecError,
+     "band start n must be >= 0, got -1"),
+    (lattice_phi_for_nbar, dict(target=1.0, shells=0), InvalidSpecError,
+     "shells must be >= 1, got 0"),
+    (random_state, dict(dim=7, rng=np.random.default_rng(0)), InvalidDimensionError,
+     "dim must be >= 8, got 7"),
+    (check_conjugation_identities, dict(_CONJUGATION, dim=31), InvalidDimensionError,
+     "dim must be >= 32, got 31"),
+    (check_overcompleteness, dict(_OVERCOMPLETE, budget=0), InvalidParameterError,
+     "budget must be >= 1, got 0"),
+    (check_overcompleteness, dict(_OVERCOMPLETE, seed=-1), InvalidParameterError,
+     "seed must be >= 0, got -1"),
+    (run_suite, dict(name="uncertainty", budget=0, seed=0), InvalidParameterError,
+     "budget must be >= 1, got 0"),
+    (run_suite, dict(name="uncertainty", budget=5, seed=-1), InvalidParameterError,
+     "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, error, message",
+    [pytest.param(*row, id=f"{row[0].__qualname__}-{row[3].split()[0]}")
+     for row in BELOW_MINIMUM],
+)
+def test_value_below_minimum_names_its_bound(fn, kwargs, error, message):
+    with pytest.raises(error) as info:
+        fn(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "build", "number", "--dim", "15"], "dim must be >= 16, got 15"),
+    (["verify", "identities", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["evolve", "missing.json", "--system", "free-mass", "--t-max", "1",
+      "--samples", "0"], "--samples must be >= 1, got 0"),
+])
+def test_cli_value_below_minimum_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Finite inputs past the float range once squared or exponentiated, and the
 # outcome each one documents: a return value, a ContractiveError subclass,
 # or a CLI exit code with one "state under-resolved" line on stderr.
@@ -207,12 +258,20 @@ OVERFLOWING = [
                  id="solve_phi_n3-c1=1e200"),
     pytest.param(lambda: make_scs(0, SqueezeParams(r=400.0)), OutOfRangeError,
                  id="make_scs-auto-dim-r=400"),
+    pytest.param(lambda: make_scs(0, SqueezeParams(r=20.0)), OutOfRangeError,
+                 id="make_scs-auto-dim-r=20"),
+    pytest.param(lambda: solve_phi(PhiSpec(n=0, N=3, free=(1e200, 1.0))).n_bar, 1.0,
+                 id="solve_phi-free=1e200,1"),
+    pytest.param(lambda: solve_phi(PhiSpec(n=0, N=4, free=(1e200, 1.0, 1.0))),
+                 DegenerateSpecError, id="solve_phi-free=1e200,1,1"),
     pytest.param(["state", "build", "extremal", "--lam", "1e200"], 1,
                  id="cli-extremal-lam=1e200"),
     pytest.param(["state", "build", "extremal", "--mean-x", "1e200"], 1,
                  id="cli-extremal-mean-x=1e200"),
     pytest.param(["state", "build", "coherent", "--alpha", "1e200"], 1,
                  id="cli-coherent-alpha=1e200"),
+    pytest.param(["state", "build", "extremal", "--lam", "1e-300+1e10i"], 1,
+                 id="cli-extremal-lam=1e-300+1e10i"),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contractive
-from contractive import FockVector, PhiSpec, number_state
+from contractive import FockVector, PhiSpec, cli, errors, number_state
 from contractive.cli import build_parser, main, parse_complex
 from conftest import parse_complex_reference
 
@@ -168,6 +168,41 @@ def test_invalid_complex_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["state", "build", "coherent", "--alpha", "one"])
     assert excinfo.value.code == 2
+
+
+# Every ContractiveError class in errors.py and the exit code cli.main gives
+# it: 2 for the usage errors, which blame the input, 1 for the rest.
+EXIT_CODES = [
+    (errors.ContractiveError("x"), 1),
+    (errors.UsageError("x"), 2),
+    (errors.InvalidDimensionError("x"), 2),
+    (errors.DimensionMismatchError("x"), 2),
+    (errors.OutOfRangeError("x"), 2),
+    (errors.InvalidSpecError("x"), 2),
+    (errors.InvalidParameterError("x"), 2),
+    (errors.TruncationError(1e-3, 1e-8, 16), 1),
+    (errors.CutoffReachedError(20.0, 16, 14.4), 1),
+    (errors.DegenerateSpecError(0j), 1),
+    (errors.TrivialStateError("x"), 1),
+    (errors.SeedConditionError(0.1, 0.1, 1e-8), 1),
+    (errors.NotContractiveError("x"), 1),
+]
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.ContractiveError)}
+    assert {type(exc) for exc, _ in EXIT_CODES} == classes
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES,
+                         ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+def test_error_class_sets_exit_code(exc, code, capsys, monkeypatch):
+    def fail(args, config):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    assert run_cli(capsys, "verify", "identities") == (code, "", f"error: {exc}\n")
 
 
 def test_missing_state_file(capsys, tmp_path):

@@ -24,7 +24,8 @@ from contractive import (
     summarize,
 )
 from contractive.errors import CutoffReachedError, require_complex, require_real
-from contractive.states import _expm_band
+from contractive.fock import TAIL_MASS_TOL
+from contractive.states import AUTO_DIM_MAX, _auto_dim, _expm_band
 
 from conftest import (
     coherent_amps,
@@ -192,6 +193,25 @@ def test_make_scs_auto_dim_resolved():
     state = make_scs(1.5 + 0.5j, SqueezeParams(r=0.8, theta=2.0))
     assert state.tail_mass() < 1e-8
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["vacuum", "lattice"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("r", [0.25 * k for k in range(11)])
+def test_auto_dim_holds_squeezed_tail(r, alpha, seeded):
+    # the squeezed vacuum's tail falls only by tanh^2 r per two levels
+    params = SqueezeParams(r=r)
+    if seeded:
+        state = make_sgcs(alpha, params, lattice_phi([1.0, 1.0]).state)
+    else:
+        state = make_scs(alpha, params)
+    assert state.tail_mass() < TAIL_MASS_TOL
+
+
+def test_auto_dim_refuses_past_its_ceiling():
+    assert _auto_dim(0, 0j, 3.6) <= AUTO_DIM_MAX
+    with pytest.raises(OutOfRangeError, match="pass dim"):
+        make_scs(0.0, SqueezeParams(r=3.7))
 
 
 def test_scs_is_bogoliubov_eigenvector():
