@@ -24,20 +24,18 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
+    TruncationError,
     require_complex,
     require_int,
     require_real,
 )
 from .fock import (
-    TAIL_MASS_TOL,
-    TOP_DECILE,
     FockVector,
     ensure_mean_resolved,
     ensure_resolved,
     index_sums,
     index_weights,
     number_state,
-    support,
 )
 
 # Largest cutoff make_scs and make_sgcs choose on their own; a state that
@@ -205,47 +203,46 @@ def squeeze(state: FockVector, params: SqueezeParams) -> FockVector:
         - math.sinh(2.0 * r) * (unrotate * second).real))
 
 
-def _auto_dim(top_level: int, alpha: complex, r: float) -> int:
-    """Cutoff for D(alpha) S(xi) applied to a seed reaching top_level.
+def _no_auto_dim(r: float, alpha: complex) -> OutOfRangeError:
+    return OutOfRangeError(
+        f"no automatic cutoff up to {AUTO_DIM_MAX} holds r = {r}, alpha = {alpha}; pass dim"
+    )
 
-    A squeezed vacuum's weights fall by tanh^2 r per two levels, so its tail
-    drops below TAIL_MASS_TOL within ln(1 / TAIL_MASS_TOL) / -ln(tanh r)
-    levels. A seed adds about three nats to ln(1 / TAIL_MASS_TOL) for each
-    level it reaches (fitted on lattice seeds up to level 9), and a
-    displacement moves the phase-space radius sqrt(level) out by |alpha|.
-    The top decile starts past the level reached; the cutoff is a multiple
-    of 32, at least 64, and one above AUTO_DIM_MAX is refused before
-    anything is allocated.
+
+def _auto_build(build, start: int, r: float, alpha: complex) -> FockVector:
+    """build(dim) at dim = start, 2 start, 4 start, ... up to AUTO_DIM_MAX;
+    the first output that resolves.
+
+    A dim too small for the output's mean fails the builders' O(dim) mean
+    check before any exponential runs; one that holds the mean but not the
+    tail fails the tail check after the build. An exponential's work grows
+    faster than dim, so such attempts together cost less than the last one.
     """
-    if r > 0:
-        # -ln tanh r = ln(1 + 2 e^{-2r} / (1 - e^{-2r})), finite for tiny r
-        decay = math.log1p(2.0 * math.exp(-2.0 * r) / -math.expm1(-2.0 * r))
-        tail = -math.log(TAIL_MASS_TOL) + 3.0 * top_level
-        spread = top_level + tail / decay if decay > 0 else math.inf
-    else:
-        spread = top_level
-    radius = abs(alpha) + math.sqrt(spread)
-    dim = radius * radius / TOP_DECILE  # inf, not OverflowError, past the range
-    if not dim <= AUTO_DIM_MAX:
-        raise OutOfRangeError(
-            f"no automatic cutoff up to {AUTO_DIM_MAX} holds r = {r}, "
-            f"alpha = {alpha}; pass dim"
-        )
-    return max(64, 32 * math.ceil(dim / 32))
+    dim = start
+    while True:
+        try:
+            return build(dim)
+        except TruncationError:
+            if 2 * dim > max(AUTO_DIM_MAX, start):
+                raise _no_auto_dim(r, alpha) from None
+            dim *= 2
 
 
 def make_scs(alpha: complex, params: SqueezeParams,
              dim: int | None = None) -> FockVector:
     """Squeezed coherent state D(alpha) S(xi) |0>.
 
-    With dim None the cutoff is chosen to hold the state's tail; a state
-    that needs more than AUTO_DIM_MAX = 2**14 levels (r above about 3.65
-    at alpha = 0) raises OutOfRangeError unless dim is given.
+    With dim None the cutoff is the first of 64, 128, ..., AUTO_DIM_MAX = 2**14
+    at which the state resolves; a state that needs more (r above about 3.73
+    at alpha = 0, or |alpha| above about 118 at r = 0) raises OutOfRangeError
+    unless dim is given.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
-    if dim is None:
-        dim = _auto_dim(0, alpha, params.r)
-    return displace(squeeze(number_state(0, dim), params), alpha)
+
+    def build(dim):
+        return displace(squeeze(number_state(0, dim), params), alpha)
+
+    return build(dim) if dim is not None else _auto_build(build, 64, params.r, alpha)
 
 
 def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
@@ -254,21 +251,26 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
 
     The seed phi must satisfy the vanishing ladder-moment conditions
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
-    With dim None the cutoff is chosen as in make_scs, from the seed's top
-    level too, and one above AUTO_DIM_MAX = 2**14 raises OutOfRangeError.
+    With dim None the cutoff is chosen as in make_scs, starting from the
+    larger of 64 and phi's dim, and one above AUTO_DIM_MAX = 2**14 (or above
+    phi's dim if that is larger) raises OutOfRangeError.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is not None:
         dim = require_int(dim, "dim", InvalidDimensionError)
     gcs.require_seed(phi)
     seed = phi.normalized()
-    if dim is None:
-        dim = _auto_dim(int(support(seed.amps)[-1]), alpha, params.r)
-    return displace(squeeze(seed.padded(max(dim, phi.dim)), params), alpha)
+
+    def build(dim):
+        return displace(squeeze(seed.padded(max(dim, phi.dim)), params), alpha)
+
+    if dim is not None:
+        return build(dim)
+    return _auto_build(build, max(64, phi.dim), params.r, alpha)
 
 
 def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
-                  dim: int = 64) -> FockVector:
+                  dim: int | None = 64) -> FockVector:
     """Extremal packet annihilated by (Delta p - i lambda Delta x).
 
     It saturates 4 var_x var_p - cov^2 = 1 with var_x = 1/(2 Re lambda),
@@ -277,7 +279,7 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     alpha = (mean_x + i mean_p)/sqrt(2), cosh 2r = var_x + var_p,
     cos theta sinh 2r = var_p - var_x and sin theta sinh 2r = -cov.
     Defined up to a global phase. Re lambda must be positive for
-    normalizability.
+    normalizability. dim None chooses the cutoff as make_scs does.
     """
     lam = require_complex(lam, "lambda", InvalidParameterError)
     mean_x = require_real(mean_x, "mean_x", InvalidParameterError)
@@ -292,7 +294,10 @@ def extremal_fock(lam: complex, mean_x: float = 0.0, mean_p: float = 0.0,
     # r from sinh 2r rather than arccosh(var_x + var_p): near r = 0 the latter
     # turns rounding in var_x + var_p into an error of order sqrt(eps) in r.
     r = 0.5 * math.asinh(math.hypot(var_gap, minus_cov))
+    alpha = complex(mean_x, mean_p) / math.sqrt(2.0)
     if not math.isfinite(r):  # a packet that wide is past every cutoff
+        if dim is None:
+            raise _no_auto_dim(r, alpha)
         ensure_mean_resolved(math.inf, require_int(dim, "dim", InvalidDimensionError))
     params = SqueezeParams(r=r, theta=math.atan2(minus_cov, var_gap))
-    return make_scs(complex(mean_x, mean_p) / math.sqrt(2.0), params, dim=dim)
+    return make_scs(alpha, params, dim=dim)

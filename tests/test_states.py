@@ -25,7 +25,7 @@ from contractive import (
 )
 from contractive.errors import CutoffReachedError, require_complex, require_real
 from contractive.fock import TAIL_MASS_TOL
-from contractive.states import AUTO_DIM_MAX, _auto_dim, _expm_band
+from contractive.states import AUTO_DIM_MAX, _expm_band
 
 from conftest import (
     coherent_amps,
@@ -208,10 +208,27 @@ def test_auto_dim_holds_squeezed_tail(r, alpha, seeded):
     assert state.tail_mass() < TAIL_MASS_TOL
 
 
+@pytest.mark.parametrize("alpha", [6.0, 8.0, 10.0, 20.0])
+@pytest.mark.parametrize("r", [0.0, 0.001, 0.1])
+def test_auto_dim_holds_displaced_tail(r, alpha):
+    # a coherent state's weight spreads about |alpha| levels past its mean
+    assert make_scs(alpha, SqueezeParams(r=r)).tail_mass() < TAIL_MASS_TOL
+
+
 def test_auto_dim_refuses_past_its_ceiling():
-    assert _auto_dim(0, 0j, 3.6) <= AUTO_DIM_MAX
+    # mean 130^2 is past the top decile of every cutoff up to AUTO_DIM_MAX
+    assert 130.0**2 > 0.9 * AUTO_DIM_MAX
     with pytest.raises(OutOfRangeError, match="pass dim"):
-        make_scs(0.0, SqueezeParams(r=3.7))
+        make_scs(130.0, SqueezeParams(r=0.0))
+
+
+def test_extremal_fock_dim_none_chooses_the_cutoff():
+    assert extremal_fock(0.5, dim=None).dim == 64
+    # r = inf: no cutoff holds it, so the automatic one is refused
+    with pytest.raises(OutOfRangeError, match="pass dim"):
+        extremal_fock(complex(1e-300, 1e10), dim=None)
+    with pytest.raises(CutoffReachedError):
+        extremal_fock(complex(1e-300, 1e10), dim=64)
 
 
 def test_scs_is_bogoliubov_eigenvector():
