@@ -233,7 +233,14 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
         raise InvalidSpecError("weights must be a non-empty 1-D sequence")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise InvalidSpecError("weights must be finite and nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if math.isinf(total):
+        # scaled by a power of two taken from the largest weight, the sum
+        # stays in range and w / total keeps its ratios; only a sum past the
+        # range is scaled, as scaling down can flush subnormal weights
+        w = np.ldexp(w, -math.frexp(np.max(w))[1])
+        total = w.sum()
     if total <= 0:
         raise TrivialStateError("lattice weights sum to zero")
     top = 3 * (w.size - 1)

@@ -8,35 +8,41 @@ the exact closed-form matrix elements
                      L_j^(m-j)(|alpha|^2)          (m >= j)
 
 (and the mirrored expression for m < j), evaluated with the three-term
-Laguerre recurrence and log-scaled prefactors, so probe amplitudes carry no
-truncation error and a million samples stay cheap. The ladder recurrence
+Laguerre recurrence, so probe amplitudes carry no truncation error and a
+million samples stay cheap. The ladder recurrence
 sqrt(j+1)<j+1|D|m> = alpha<j|D|m> + sqrt(m)<j|D|m-1> is not used: it is
 unstable upward (errors above 1e5 at probe 32, dim 128, |alpha| = radius_cap/2).
 
 The element loop runs chi's support levels m outer and probe rows j inner,
-so each row still sums its terms in ascending m. An element's key
-(m >= j, |m - j|) names its angular factor and its Laguerre polynomial: for
-m >= j row j at level m is order j of offset m - j, for m < j order m of
-offset j - m. Each key keeps one recurrence (a chain), advanced order by
-order as the levels rise (several orders across a support gap), with the
-same steps as a recurrence restarted at order 0.
+so each row still sums its terms in ascending m. With d = |m - j| and
+lo = min(m, j), the element is scale * (L_lo^(d)(y) * column), y = |alpha|^2:
+a float scale = sqrt(lo! d! / (lo + d)!) and the key's column
+sqrt(e^-y y^d / d!) e^{i d (pi - phi)} (m >= j; e^{i d phi} for m < j).
+The key (m >= j, d) names the column and a Laguerre recurrence (a chain)
+advanced order by order as the levels rise, with the same steps as one
+restarted at order 0. So an element costs the Laguerre step and three array
+operations. The column's modulus, the root of a Poisson weight, is at most
+1 and made in the log domain: it stays finite where e^(-y/2) underflows.
 
 `displaced_block` works through the samples in column passes of _SUBCHUNK.
 Each pass takes the unit phasor e^{i phi} of its samples once (phase 1 at
-alpha = 0) and builds the angular factors e^{i d (pi - phi)} (m >= j) and
-e^{i d phi} (m < j) as its powers (-conj e^{i phi})^d and (e^{i phi})^d, one
-multiplication per step of d, in the order the element loop first needs
-them. A factor is kept from the step that makes it until the last level that
-reads it. Rounding grows by about one ulp per step of d; the block stays
-within about 5e-15 of the complex-exponential kernel on the tested inputs.
+alpha = 0) and builds the angular factors as its powers (-conj e^{i phi})^d
+and (e^{i phi})^d, one multiplication per step of d, in the order the
+element loop first needs them. A key's column is made with its power, its
+zero-displacement samples set to 0 for d > 0, and kept until the last level
+that reads it. Rounding grows by about one ulp per step of d; the block
+stays within about 5e-15 of the complex-exponential kernel on the tested
+inputs.
 
-The kernel must stay bit-identical to the per-pair powers oracle kept in
-tests/conftest.py (`displaced_block_powers`, which rebuilds every factor
-from ones), and `_radial_marginal` to the retired per-pair kernel there
-(`radial_marginal_reference`); the tests compare them with np.array_equal,
-so any change of operand order, of the factor recurrence or of the summation
-order shows. The exponential-based retired kernel
-(`displaced_block_reference`) bounds the factors' rounding.
+The kernel must stay bit-identical to the per-pair factored oracle in
+tests/conftest.py (`displaced_block_factored`, which rebuilds every column
+and restarts every recurrence), and `_radial_marginal` to
+`radial_marginal_factored`; the tests compare them with np.array_equal, so
+any change of operand order, of a recurrence or of the summation order
+shows. The retired kernels there, with the whole radial prefactor in one
+exponential per element (`displaced_block_powers`,
+`displaced_block_reference`, `radial_marginal_reference`), bound the
+factoring's rounding at 1e-13.
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -84,7 +90,7 @@ IDENTITY_TOL = 1e-8
 BAND_SLACK = 1e-9
 
 # Samples per pass of displaced_block. Columns are independent, so the split
-# changes no bits; it bounds the angular-factor cache and the radial
+# changes no bits; it bounds the column-factor cache and the radial
 # temporaries (wider passes raised peak memory and ran no faster).
 _SUBCHUNK = 20_000
 
@@ -252,7 +258,7 @@ def _schedule(chi: np.ndarray, probe_dim: int):
     """chi's support levels m, ascending, and for each element key
     (m >= j, |m - j|) the last level that reads it.
 
-    A key names an angular factor and a Laguerre chain at once: for m >= j
+    A key names a column factor and a Laguerre chain at once: for m >= j
     the element is order j of offset m - j, for m < j order m of offset
     j - m, so each level reads a key at most once and at a higher order.
     """
@@ -301,49 +307,6 @@ class _LaguerreChain:
         return self.curr
 
 
-def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
-    """Yield (j, m, key, R_jm(rho)) for chi's support levels m, ascending,
-    and within each level the probe rows j < probe_dim.
-
-    R_jm is the real radial part of <j|D(rho e^{i phi})|m>; the element is
-    R_jm e^{i d (pi - phi)} for m >= j and R_jm e^{i d phi} for m < j,
-    with d = |m - j|. Every row j still receives its terms in ascending m.
-    The yielded array is overwritten by the next element.
-    """
-    support, last = schedule
-    y = rho**2
-    half_y = 0.5 * y
-    zero = rho == 0.0
-    any_zero = bool(np.any(zero))
-    # log rho is only consumed where rho > 0; the zero-displacement samples
-    # are patched with D(0) = I.
-    log_rho = np.log(np.where(zero, 1.0, rho))
-    top = max(support[-1] if support else 0, probe_dim - 1)
-    lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
-    chains: dict[tuple[bool, int], _LaguerreChain] = {}
-    elem = np.empty_like(y)
-    scratch = np.empty_like(y)
-    for m in support:
-        for j in range(probe_dim):
-            d = abs(m - j)
-            lo = min(m, j)
-            key = (m >= j, d)
-            chain = chains.get(key)
-            if chain is None:
-                chain = chains[key] = _LaguerreChain(float(d), y)
-            # exp((0.5 (lgam[lo] - lgam[lo + d]) + d log rho) - y / 2)
-            np.multiply(d, log_rho, out=elem)
-            np.add(0.5 * (lgam[lo] - lgam[lo + d]), elem, out=elem)
-            np.subtract(elem, half_y, out=elem)
-            np.exp(elem, out=elem)
-            np.multiply(elem, chain.at(lo, scratch), out=elem)
-            if last[key] == m:
-                del chains[key]
-            if any_zero:
-                elem[zero] = 1.0 if d == 0 else 0.0
-            yield j, m, key, elem
-
-
 def _powers(ratio: np.ndarray):
     """Yield (d, ratio^d) for d = 0, 1, 2, ..., each power the previous one
     times ratio, starting from ones."""
@@ -355,37 +318,75 @@ def _powers(ratio: np.ndarray):
         d += 1
 
 
+def _radial_elements(rho: np.ndarray, unit: np.ndarray, probe_dim: int,
+                     schedule):
+    """Yield (j, m, scale, laguerre, column) for chi's support levels m,
+    ascending, and within each level the probe rows j < probe_dim.
+
+    <j|D(rho unit)|m> = scale * (laguerre * column), the factors of the
+    module docstring. A real unit of ones gives the real columns
+    +-sqrt(e^-y y^d / d!). Every row j still receives its terms in ascending
+    m. The laguerre array is overwritten by the next element.
+    """
+    support, last = schedule
+    y = rho**2
+    half_y = 0.5 * y
+    zero = rho == 0.0
+    any_zero = bool(np.any(zero))
+    # log rho is only consumed where rho > 0: at rho = 0 the d = 0 columns
+    # come out 1 and the others are set to 0, so D(0) = I.
+    log_rho = np.log(np.where(zero, 1.0, rho))
+    top = max(support[-1] if support else 0, probe_dim - 1)
+    lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
+    powers = {True: _powers(-unit.conj()), False: _powers(unit)}
+    columns: dict[tuple[bool, int], np.ndarray] = {}
+    chains: dict[tuple[bool, int], _LaguerreChain] = {}
+    radial = np.empty_like(y)
+    scratch = np.empty_like(y)
+    for m in support:
+        for j in range(probe_dim):
+            d = abs(m - j)
+            lo = min(m, j)
+            key = (m >= j, d)
+            if key not in columns:
+                # advance this side's powers to d, making the column and the
+                # chain of each key a level reads; a power passed here is unread
+                side = key[0]
+                for k, power in powers[side]:
+                    if (side, k) in last:
+                        # exp((k log rho - y / 2) - lgam[k] / 2) * power
+                        np.multiply(k, log_rho, out=radial)
+                        np.subtract(radial, half_y, out=radial)
+                        np.subtract(radial, 0.5 * lgam[k], out=radial)
+                        np.exp(radial, out=radial)
+                        columns[side, k] = radial * power
+                        chains[side, k] = _LaguerreChain(float(k), y)
+                        if k and any_zero:
+                            columns[side, k][zero] = 0.0
+                    if k == d:
+                        break
+            scale = math.exp(0.5 * (lgam[lo] + lgam[d] - lgam[lo + d]))
+            yield j, m, scale, chains[key].at(lo, scratch), columns[key]
+            if last[key] == m:
+                del columns[key], chains[key]
+
+
 def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
                       schedule) -> None:
     """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas))."""
-    probe_dim = out.shape[0]
-    last = schedule[1]
-    # e^{i phi}, with phase 1 at alpha = 0; e^{i d (pi - phi)} (m >= j) is
-    # (-conj unit)^d and e^{i d phi} (m < j) is unit^d
+    # e^{i phi}, with phase 1 at alpha = 0
     unit = np.exp(1j * np.angle(alphas))
-    powers = {True: _powers(-unit.conj()), False: _powers(unit)}
-    factors: dict[tuple[bool, int], np.ndarray] = {}
     prod = np.empty(alphas.size, dtype=complex)
     term = np.empty(alphas.size, dtype=complex)
-    for j, m, key, elem in _radial_elements(np.abs(alphas), probe_dim, schedule):
-        if key not in factors:
-            # advance this side's powers to d, keeping each one a level
-            # reads; a power passed here has not been read yet
-            towards_pi, d = key
-            for k, power in powers[towards_pi]:
-                if (towards_pi, k) in last:
-                    factors[towards_pi, k] = power
-                if k == d:
-                    break
-        # chi[m] * (elem * factor) with operands in that order and no
-        # output aliasing an input: numpy's complex multiply rounds
-        # differently with the operands swapped (prod *= chi[m]) and for
-        # a one-element in-place call
-        np.multiply(elem, factors[key], out=prod)
-        np.multiply(chi[m], prod, out=term)
+    for j, m, scale, laguerre, column in _radial_elements(
+            np.abs(alphas), unit, out.shape[0], schedule):
+        # (chi[m] scale) * (laguerre * column) with operands in that order
+        # and no output aliasing an input: numpy's complex multiply rounds
+        # differently with the operands swapped and for a one-element
+        # in-place call
+        np.multiply(laguerre, column, out=prod)
+        np.multiply(chi[m] * scale, prod, out=term)
         out[j] += term
-        if last[key] == m:
-            del factors[key]
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -418,8 +419,9 @@ def _radial_marginal(chi: np.ndarray, rho: np.ndarray, probe_dim: int) -> np.nda
     """(1/2pi) d/d rho^2 of the probe-row masses: T[j, i] such that
     integral 2 rho T_j(rho) d rho over [0, inf) equals 1 for each j."""
     out = np.zeros((probe_dim, rho.size))
-    for j, m, _, elem in _radial_elements(rho, probe_dim, _schedule(chi, probe_dim)):
-        out[j] += np.abs(chi[m]) ** 2 * elem**2
+    for j, m, scale, laguerre, column in _radial_elements(
+            rho, np.ones_like(rho), probe_dim, _schedule(chi, probe_dim)):
+        out[j] += np.abs(chi[m] * scale) ** 2 * (laguerre * column) ** 2
     return out
 
 

@@ -324,6 +324,62 @@ def radial_marginal_reference(chi: np.ndarray, rho: np.ndarray,
     return out
 
 
+def _factored_elements(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
+                       ratios=None):
+    """Yield (j, m, scale, L, column) per pair, probe rows j outer, with
+    <j|D(alpha)|m> = scale * (L * column): d = |m - j|, lo = min(m, j),
+    scale = sqrt(lo! d! / (lo + d)!), L = L_lo^(d)(|alpha|^2) restarted at
+    order 0, and column = sqrt(e^-y y^d / d!) (y = |alpha|^2), times the
+    angular factor ratios[m >= j]^d rebuilt from ones when ratios are given,
+    rebuilt from scratch for every pair."""
+    support = np.nonzero(np.abs(chi) > 1e-13)[0]
+    rho = np.abs(alphas)
+    y = rho**2
+    half_y = 0.5 * y
+    zero = rho == 0.0
+    log_rho = np.log(np.where(zero, 1.0, rho))
+    top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
+    lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
+    for j in range(probe_dim):
+        for m in map(int, support):
+            d = abs(m - j)
+            lo = min(m, j)
+            column = np.exp(d * log_rho - half_y - 0.5 * lgam[d])
+            if ratios is not None:
+                factor = np.ones(alphas.size, dtype=complex)
+                for _ in range(d):
+                    factor = factor * ratios[m >= j]
+                column = column * factor
+            if d:
+                column[zero] = 0.0
+            scale = math.exp(0.5 * (lgam[lo] + lgam[d] - lgam[lo + d]))
+            yield j, m, scale, _laguerre_reference(lo, float(d), y), column
+
+
+def displaced_block_factored(chi: np.ndarray, alphas: np.ndarray,
+                             probe_dim: int) -> np.ndarray:
+    """<j|D(alpha)|chi> for j < probe_dim as (chi[m] scale) * (L * column)
+    per pair, the angular factor (-conj u)^d (m >= j) or u^d (m < j),
+    u = e^{i phi}, inside the column."""
+    chi = np.asarray(chi, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    unit = np.exp(1j * np.angle(alphas))
+    ratios = {True: -unit.conj(), False: unit}
+    out = np.zeros((probe_dim, alphas.size), dtype=complex)
+    for j, m, scale, lag, column in _factored_elements(chi, alphas, probe_dim, ratios):
+        out[j] += (chi[m] * scale) * (lag * column)
+    return out
+
+
+def radial_marginal_factored(chi: np.ndarray, rho: np.ndarray,
+                             probe_dim: int) -> np.ndarray:
+    """(1/2pi) d/d rho^2 of the probe-row masses from the factored elements."""
+    out = np.zeros((probe_dim, rho.size))
+    for j, m, scale, lag, column in _factored_elements(chi, rho, probe_dim):
+        out[j] += np.abs(chi[m] * scale) ** 2 * (lag * column) ** 2
+    return out
+
+
 # np.trapz was renamed np.trapezoid in numpy 2.0.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 

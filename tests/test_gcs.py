@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,29 @@ def test_lattice_rejects_bad_weights():
         lattice_phi((1.0, -0.5))
     with pytest.raises(TrivialStateError):
         lattice_phi((0.0, 0.0))
+
+
+def test_lattice_weights_past_the_float_range():
+    # 1e308 + 1e308 overflows; such weights are scaled by a power of two
+    # and summed again, so the two-shell seed comes out with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = lattice_phi((1e308, 1e308))
+        wide = lattice_phi((1.7e308, 1.7e308, 1e-300))
+    plain = lattice_phi((1.0, 1.0))
+    assert np.array_equal(phi.state.amps, plain.state.amps)
+    assert phi.n_bar == plain.n_bar and abs(phi.n_bar - 1.5) < 1e-14
+    assert np.array_equal(wide.state.amps[:4], plain.state.amps)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 5e-324), (3.0, 1e-200, 1e300),
+                                     (0.25, 0.5, 0.125, 2.0)])
+def test_lattice_weights_in_range_keep_their_bits(weights):
+    # weights whose sum stays finite give sqrt(w / sum(w)) unscaled, down
+    # to a subnormal weight that scaling down would flush to zero
+    w = np.array(weights)
+    phi = lattice_phi(weights)
+    assert np.array_equal(phi.state.amps[::3], np.sqrt(w / w.sum()))
 
 
 @given(

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,10 @@ from conftest import (
     coherent_amps,
     conjugation_residuals_dense,
     dense_displace,
+    displaced_block_factored,
     displaced_block_powers,
     displaced_block_reference,
+    radial_marginal_factored,
     radial_marginal_reference,
 )
 
@@ -206,12 +209,19 @@ def _kernel_alphas(rng, count):
     return rho * np.exp(2j * np.pi * rng.random(count))
 
 
-def _assert_matches_oracles(got, chi, alphas, probe):
-    """Bit-equal to the per-pair powers oracle, and within 1e-13 of the
-    retired kernel's complex exponentials."""
-    assert np.array_equal(got, displaced_block_powers(chi, alphas, probe))
-    want = displaced_block_reference(chi, alphas, probe)
-    assert got.size == 0 or np.max(np.abs(got - want)) < 1e-13
+RETIRED = (displaced_block_powers, displaced_block_reference)
+
+
+def _assert_matches_oracles(got, chi, alphas, probe, retired=RETIRED):
+    """Bit-equal to the per-pair factored oracle, and within 1e-13 of the
+    retired kernels (per-pair powers or complex exponentials, each with the
+    radial prefactor in one exponential). The two retired kernels agree to
+    5e-15, so long batches check against the exponential one alone, which
+    keeps the tests short."""
+    assert np.array_equal(got, displaced_block_factored(chi, alphas, probe))
+    for oracle in retired:
+        want = oracle(chi, alphas, probe)
+        assert got.size == 0 or np.max(np.abs(got - want)) < 1e-13
 
 
 @pytest.mark.parametrize("probe", range(1, 9))
@@ -220,8 +230,10 @@ def test_displaced_block_bit_identical_to_retired_kernel(probe):
     chis = _kernel_chis(rng)
     for count in (0, 1, _SUBCHUNK, _SUBCHUNK + 1, 62_500):
         alphas = _kernel_alphas(rng, count)
+        retired = (displaced_block_reference,) if count >= _SUBCHUNK else RETIRED
         for chi in chis:
-            _assert_matches_oracles(displaced_block(chi, alphas, probe), chi, alphas, probe)
+            _assert_matches_oracles(displaced_block(chi, alphas, probe), chi, alphas,
+                                    probe, retired)
     # every sample at the origin
     alphas = np.zeros(5, dtype=complex)
     for chi in chis:
@@ -234,14 +246,15 @@ def test_radial_marginal_bit_identical_to_retired_kernel(probe, monkeypatch):
     for chi in _kernel_chis(rng):
         cap = radius_cap(probe, float(np.sum(np.arange(20) * np.abs(chi) ** 2)), 0.0)
         rho = np.linspace(0.0, cap, 2001)
-        assert np.array_equal(_radial_marginal(chi, rho, probe),
-                              radial_marginal_reference(chi, rho, probe))
+        marginal = _radial_marginal(chi, rho, probe)
+        assert np.array_equal(marginal, radial_marginal_factored(chi, rho, probe))
+        assert np.max(np.abs(marginal - radial_marginal_reference(chi, rho, probe))) < 1e-13
         got = choose_radius(chi, probe, 5e-4, cap)
-        monkeypatch.setattr("contractive.verify._radial_marginal",
-                            radial_marginal_reference)
-        want = choose_radius(chi, probe, 5e-4, cap)
-        monkeypatch.undo()
-        assert got == want
+        for oracle in (radial_marginal_factored, radial_marginal_reference):
+            monkeypatch.setattr("contractive.verify._radial_marginal", oracle)
+            want = choose_radius(chi, probe, 5e-4, cap)
+            monkeypatch.undo()
+            assert got == want
 
 
 def _criterion_8_chi():
@@ -257,7 +270,28 @@ def test_displaced_block_bit_identical_on_criterion_8_chi():
     rho = 3.5 * np.sqrt(rng.random(100_000))
     rho[::997] = 0.0
     alphas = rho * np.exp(2j * np.pi * rng.random(100_000))
-    _assert_matches_oracles(displaced_block(chi, alphas, 6), chi, alphas, 6)
+    _assert_matches_oracles(displaced_block(chi, alphas, 6), chi, alphas, 6,
+                            retired=(displaced_block_reference,))
+
+
+def test_displaced_block_factored_at_extreme_radii():
+    # four-shell lattice seed squeezed at r = 0.8: support up to level 217;
+    # at |alpha| = 40, e^{-|alpha|^2/2} alone underflows, while each key's
+    # column sqrt(e^-y y^d / d!) stays in range through the log domain
+    chi = _seed_to_chi(lattice_phi([1.0, 1.0, 1.0, 1.0]).state,
+                       SqueezeParams(r=0.8), 256).amps
+    assert np.nonzero(np.abs(chi) > 1e-13)[0][-1] == 217
+    assert math.exp(-0.5 * 40.0**2) == 0.0
+    rng = np.random.default_rng(40)
+    rho = np.concatenate([np.linspace(0.0, 40.0, 201),
+                          40.0 * np.sqrt(rng.random(200))])
+    alphas = rho * np.exp(2j * np.pi * rng.random(rho.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = displaced_block(chi, alphas, 8)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, displaced_block_factored(chi, alphas, 8))
+    assert np.max(np.abs(got - displaced_block_reference(chi, alphas, 8))) < 1e-13
 
 
 def test_conftest_oracles_do_not_import_the_package():
