@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 when a physics check or state construction
 fails, 2 on usage errors (a UsageError or an argparse error). All
 randomized commands take a seed, and identical configuration plus seed
 produces byte-identical output.
+
+Every command needs errors, fock and moments, imported here. The layers
+only some commands run (states, gcs, dynamics, verify) are imported by the
+functions that call them, so a process loads no more than its command uses.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dynamics, gcs, moments, states, verify
+from . import moments
 from .errors import (
     ContractiveError,
     InvalidParameterError,
@@ -29,6 +34,9 @@ from .errors import (
     require_real,
 )
 from .fock import FockVector, number_state
+
+if TYPE_CHECKING:
+    from . import dynamics, gcs, states
 
 DEFAULT_DIM = 128
 ENV_DIM = "CONTRACTIVE_DIM"
@@ -71,6 +79,10 @@ def _complex_list(text: str) -> list[complex]:
 
 
 _FORMATS = ("json", "csv")
+# The `verify` suites, (*verify.SUITES, "all"), spelled out so that parsing
+# argv does not import verify.
+_VERIFY_CHOICES = ("uncertainty", "rql", "saturation", "overcompleteness",
+                   "identities", "all")
 
 # Each RunConfig field: the JSON types a config file may give it, and the
 # spec of its flag. A command registers the flags of the settings it reads.
@@ -130,8 +142,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _scales(config: RunConfig) -> dynamics.PhysicalScales:
-    return dynamics.PhysicalScales(hbar=config.hbar, mass=config.mass,
-                                   omega=config.omega)
+    from .dynamics import PhysicalScales
+    return PhysicalScales(hbar=config.hbar, mass=config.mass, omega=config.omega)
 
 
 def _emit(obj: dict) -> None:
@@ -159,10 +171,12 @@ def _seed_from_args(args: argparse.Namespace) -> FockVector:
         return FockVector.load(args.phi)
     if args.weights is not None or args.target_nbar is not None:
         return _lattice_from_args(args).state
+    from . import gcs
     return gcs.solve_phi(_band_spec_from_args(args)).state
 
 
 def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
+    from . import gcs
     if args.band_spec:
         return gcs.PhiSpec.load(args.band_spec)
     if args.free is None or args.low is None or args.high is None:
@@ -173,6 +187,7 @@ def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
 
 
 def _solve_from_args(args: argparse.Namespace, dim: int) -> gcs.PhiState:
+    from . import gcs
     spec = _band_spec_from_args(args)
     return gcs.solve_phi(spec, dim=max(dim, spec.N + 1))
 
@@ -180,14 +195,17 @@ def _solve_from_args(args: argparse.Namespace, dim: int) -> gcs.PhiState:
 def _build_sgcs(args: argparse.Namespace, dim: int) -> FockVector:
     # the seed resolves first, so its errors come before the squeeze's
     seed = _seed_from_args(args)
+    from . import states
     return states.make_sgcs(args.alpha, _squeeze_params(args), seed, dim=dim)
 
 
 def _squeeze_params(args: argparse.Namespace) -> states.SqueezeParams:
-    return states.SqueezeParams(r=args.r, theta=args.theta)
+    from .states import SqueezeParams
+    return SqueezeParams(r=args.r, theta=args.theta)
 
 
 def _lattice_from_args(args: argparse.Namespace) -> gcs.PhiState:
+    from . import gcs
     if args.weights is not None and args.target_nbar is not None:
         raise InvalidParameterError(
             "give either --weights or --target-nbar, not both"
@@ -220,6 +238,7 @@ def cmd_state_moments(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import dynamics
     require_int(args.samples, "--samples", OutOfRangeError, minimum=1)
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
@@ -249,6 +268,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_rql_band(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import dynamics
     state = FockVector.load(args.state)
     summary = moments.summarize(state)
     lower, upper = dynamics.rql_band(summary, args.system, _scales(config), args.time)
@@ -257,6 +277,7 @@ def cmd_rql_band(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_gcs_solve(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import gcs
     solved = _solve_from_args(args, config.dim)
     if args.out:
         solved.state.dump(args.out)
@@ -270,12 +291,14 @@ def cmd_gcs_solve(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import verify
     report = verify.run_suite(args.suite, args.budget, config.seed)
     _emit(report)
     return 0 if report["passed"] else 1
 
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import gcs, states
     nbars = args.nbar if args.nbar is not None else [0.0]
     if args.kind == "scs" and args.nbar is not None:
         raise InvalidParameterError("--nbar only applies to sgcs sweeps")
@@ -350,24 +373,39 @@ _SQUEEZE = ("alpha", "r", "theta")
 _LATTICE = ("weights", "target_nbar", "shells")
 _BAND_SPEC = ("band_spec", "low", "high", "free")
 
+
+def _build_coherent(args: argparse.Namespace, dim: int) -> FockVector:
+    from .states import displace
+    return displace(number_state(0, dim), args.alpha)
+
+
+def _build_displaced_number(args: argparse.Namespace, dim: int) -> FockVector:
+    from .states import displace
+    return displace(number_state(args.n, dim), args.alpha)
+
+
+def _build_scs(args: argparse.Namespace, dim: int) -> FockVector:
+    from .states import make_scs
+    return make_scs(args.alpha, _squeeze_params(args), dim=dim)
+
+
+def _build_extremal(args: argparse.Namespace, dim: int) -> FockVector:
+    from .states import extremal_fock
+    return extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim)
+
+
 # Each `state build` kind: how it builds a state from (args, dim), and the
 # flags it reads.
 _KINDS = {
     "number": (lambda args, dim: number_state(args.n, dim), ("n",)),
-    "coherent": (lambda args, dim: states.displace(number_state(0, dim), args.alpha),
-                 ("alpha",)),
-    "displaced-number": (
-        lambda args, dim: states.displace(number_state(args.n, dim), args.alpha),
-        ("n", "alpha")),
-    "scs": (lambda args, dim: states.make_scs(args.alpha, _squeeze_params(args), dim=dim),
-            _SQUEEZE),
+    "coherent": (_build_coherent, ("alpha",)),
+    "displaced-number": (_build_displaced_number, ("n", "alpha")),
+    "scs": (_build_scs, _SQUEEZE),
     "gcs-lattice": (lambda args, dim: _lattice_from_args(args).state.padded(dim),
                     _LATTICE),
     "gcs-solve": (lambda args, dim: _solve_from_args(args, dim).state, _BAND_SPEC),
     "sgcs": (_build_sgcs, _SQUEEZE + _LATTICE + ("phi",) + _BAND_SPEC),
-    "extremal": (
-        lambda args, dim: states.extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim),
-        ("lam", "mean_x", "mean_p")),
+    "extremal": (_build_extremal, ("lam", "mean_x", "mean_p")),
 }
 
 
@@ -425,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_gcs_solve)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=(*verify.SUITES, "all"))
+    p_verify.add_argument("suite", choices=_VERIFY_CHOICES)
     p_verify.add_argument("--budget", type=int, default=200)
     _add_settings(p_verify, "seed")
     p_verify.set_defaults(func=cmd_verify)

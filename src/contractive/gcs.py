@@ -130,8 +130,6 @@ def _fix_phase(amps: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is real positive."""
     k = int(np.argmax(np.abs(amps)))
     pivot = amps[k]
-    if pivot == 0:
-        return amps
     return amps * (np.conjugate(pivot) / abs(pivot))
 
 

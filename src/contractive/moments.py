@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, TrivialStateError, require_real
 from .fock import FockVector, ensure_resolved, index_sums
-from .states import SqueezeParams
+
+if TYPE_CHECKING:
+    from .states import SqueezeParams
 
 # Flags in classify() use this tolerance on variance/covariance comparisons.
 CLASSIFY_TOL = 1e-7

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gcs
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -258,7 +257,8 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is not None:
         dim = require_int(dim, "dim", InvalidDimensionError)
-    gcs.require_seed(phi)
+    from .gcs import require_seed
+    require_seed(phi)
     seed = phi.normalized()
 
     def build(dim):

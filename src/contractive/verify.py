@@ -111,9 +111,6 @@ class ConjugationReport:
         return max(self.displacement, self.bogoliubov_displacement,
                    self.squeeze_conjugation, self.displacement_equality)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ExtremalAudit:

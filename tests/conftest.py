@@ -330,8 +330,9 @@ def _factored_elements(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
     <j|D(alpha)|m> = scale * (L * column): d = |m - j|, lo = min(m, j),
     scale = sqrt(lo! d! / (lo + d)!), L = L_lo^(d)(|alpha|^2) restarted at
     order 0, and column = sqrt(e^-y y^d / d!) (y = |alpha|^2), times the
-    angular factor ratios[m >= j]^d rebuilt from ones when ratios are given,
-    rebuilt from scratch for every pair."""
+    angular factor ratios[m >= j]^d when ratios are given. The powers of each
+    ratio are sequential products from ones, 1, r, r*r, ..., formed once per
+    call; everything else is rebuilt from scratch for every pair."""
     support = np.nonzero(np.abs(chi) > 1e-13)[0]
     rho = np.abs(alphas)
     y = rho**2
@@ -340,16 +341,18 @@ def _factored_elements(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
     log_rho = np.log(np.where(zero, 1.0, rho))
     top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
+    powers = {}
+    for side, ratio in (ratios or {}).items():
+        powers[side] = [np.ones(alphas.size, dtype=complex)]
+        for _ in range(top):
+            powers[side].append(powers[side][-1] * ratio)
     for j in range(probe_dim):
         for m in map(int, support):
             d = abs(m - j)
             lo = min(m, j)
             column = np.exp(d * log_rho - half_y - 0.5 * lgam[d])
             if ratios is not None:
-                factor = np.ones(alphas.size, dtype=complex)
-                for _ in range(d):
-                    factor = factor * ratios[m >= j]
-                column = column * factor
+                column = column * powers[m >= j][d]
             if d:
                 column[zero] = 0.0
             scale = math.exp(0.5 * (lgam[lo] + lgam[d] - lgam[lo + d]))

@@ -744,3 +744,65 @@ def test_env_dim_ignored_without_dim_flag(tmp_path, capsys, monkeypatch, command
     for value in ("8", "abc"):
         monkeypatch.setenv("CONTRACTIVE_DIM", value)
         assert run_cli(capsys, *argv) == (0, want, "")
+
+
+_IMPORT_GUARD = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "contractive")
+
+import contractive
+report = {"package": loaded()}
+from contractive.cli import main
+with redirect_stdout(io.StringIO()):
+    report["code"] = main(sys.argv[1:])
+report["command"] = loaded()
+print(json.dumps(report))
+"""
+_EVERY_COMMAND = ["cli", "errors", "fock", "moments"]
+
+
+# Each command and the layers beyond errors, fock and moments it loads.
+_COMMAND_LAYERS = {
+    "state moments": (["state", "moments", "{state}"], []),
+    "evolve": (["evolve", "{state}", "--system", "free-mass", "--t-max", "1",
+                "--samples", "3"], ["dynamics"]),
+    "rql-band": (["rql-band", "{state}", "--system", "oscillator", "--time", "0.5"],
+                 ["dynamics"]),
+    "gcs solve": (["gcs", "solve", "--low", "0", "--high", "4", "--free", "1,0.5i,-0.3"],
+                  ["gcs"]),
+    "state build scs": (["state", "build", "scs", "--r", "0.3"], ["states"]),
+    "state build coherent": (["state", "build", "coherent", "--alpha", "0.5"], ["states"]),
+    "verify identities": (["verify", "identities"], ["dynamics", "gcs", "states", "verify"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_LAYERS))
+def test_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # every submodule a process imports is compiled from source when no
+    # bytecode is cached, so a command pays for each module it loads
+    argv, layers = _COMMAND_LAYERS[command]
+    state_file = tmp_path / "state.json"
+    number_state(2, 16).dump(state_file)
+    argv = [part.format(state=state_file) for part in argv]
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["package"] == ["contractive"]
+    assert report["code"] == 0
+    want = ["contractive"] + [f"contractive.{m}" for m in sorted(_EVERY_COMMAND + layers)]
+    assert report["command"] == want
+
+
+def test_verify_choices_are_the_suites_then_all(capsys):
+    from contractive import verify
+
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "{" + ",".join((*verify.SUITES, "all")) + "}" in capsys.readouterr().out

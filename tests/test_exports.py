@@ -1,3 +1,9 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import contractive
 
 # Retired from the public API: moments come from ladder index sums, extremal
@@ -23,3 +29,25 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in contractive.__all__
         assert not hasattr(contractive, name), name
+
+
+def test_each_name_is_its_home_module_object():
+    for module, names in contractive._EXPORTS.items():
+        home = importlib.import_module(f"contractive.{module}")
+        for name in names:
+            assert getattr(contractive, name) is getattr(home, name), name
+
+
+def test_submodule_resolves_without_prior_import():
+    # a fresh interpreter, so no earlier test has imported the submodule
+    code = ("import sys, contractive\n"
+            "assert 'contractive.verify' not in sys.modules\n"
+            "assert {*contractive.__all__, 'verify'} <= set(dir(contractive))\n"
+            "assert contractive.verify is sys.modules['contractive.verify']\n"
+            "assert contractive.cli.main is sys.modules['contractive.cli'].main\n")
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
