@@ -2,7 +2,8 @@
 resolution-of-identity check for displaced seed families.
 
 The overcompleteness integrator never builds displacement matrices. It uses
-the exact closed-form matrix elements
+the exact closed-form matrix elements (Cahill & Glauber, Phys. Rev. 177,
+1857 (1969))
 
     <j|D(alpha)|m> = sqrt(j!/m!) (-conj(alpha))^(m-j) e^(-|alpha|^2/2)
                      L_j^(m-j)(|alpha|^2)          (m >= j)
@@ -13,36 +14,43 @@ million samples stay cheap. The ladder recurrence
 sqrt(j+1)<j+1|D|m> = alpha<j|D|m> + sqrt(m)<j|D|m-1> is not used: it is
 unstable upward (errors above 1e5 at probe 32, dim 128, |alpha| = radius_cap/2).
 
+Writing u = e^{i phi} for alpha = |alpha| u, the phase of <j|D|m> is
+(-conj u)^(m-j) for m >= j and u^(j-m) for m < j, both s u^j conj(u)^m with
+s = (-1)^(m-j) for m >= j and s = 1 for m < j. So
+
+    <j|D(alpha)|chi> = u^j sum_m s R chi_m conj(u)^m,
+
+with R = R_lo^(d)(y), d = |m - j|, lo = min(m, j), y = |alpha|^2, the
+normalized radial function sqrt(lo! d! / (lo + d)!) L_lo^(d)(y)
+sqrt(e^-y y^d / d!). The key (m >= j, d) names a chain of these, started
+from R_0 = sqrt(e^-y y^d / d!) (the root of a Poisson weight, made in the
+log domain, so it stays finite where e^(-y/2) underflows) and advanced by
+R_{k+1} = ((2k + 1 + d - y) R_k - sqrt(k (k + d)) R_{k-1})
+/ sqrt((k + 1) (k + 1 + d)), order by order as the levels rise, with the
+same steps as one restarted at order 0.
+
 The element loop runs chi's support levels m outer and probe rows j inner,
-so each row still sums its terms in ascending m. With d = |m - j| and
-lo = min(m, j), the element is scale * (L_lo^(d)(y) * column), y = |alpha|^2:
-a float scale = sqrt(lo! d! / (lo + d)!) and the key's column
-sqrt(e^-y y^d / d!) e^{i d (pi - phi)} (m >= j; e^{i d phi} for m < j).
-The key (m >= j, d) names the column and a Laguerre recurrence (a chain)
-advanced order by order as the levels rise, with the same steps as one
-restarted at order 0. So an element costs the Laguerre step and three array
-operations. The column's modulus, the root of a Poisson weight, is at most
-1 and made in the log domain: it stays finite where e^(-y/2) underflows.
+so each row still sums its terms in ascending m. `displaced_block` works
+through the samples in column passes of _SUBCHUNK. Each pass takes the unit
+phasor u of its samples once (phase 1 at alpha = 0); each level forms
+chi_m conj(u)^m once, as contiguous real and imaginary planes, with the
+powers made by one multiplication per level; each element adds s R times
+each plane into its row's real and imaginary accumulators, so an element
+costs a recurrence step and four real array operations and touches no
+complex data. Each row is finished once, as its complex sum times u^j.
+`_radial_marginal` reads the same chains: its rows are sum_m |chi_m|^2 R^2.
 
-`displaced_block` works through the samples in column passes of _SUBCHUNK.
-Each pass takes the unit phasor e^{i phi} of its samples once (phase 1 at
-alpha = 0) and builds the angular factors as its powers (-conj e^{i phi})^d
-and (e^{i phi})^d, one multiplication per step of d, in the order the
-element loop first needs them. A key's column is made with its power, its
-zero-displacement samples set to 0 for d > 0, and kept until the last level
-that reads it. Rounding grows by about one ulp per step of d; the block
-stays within about 5e-15 of the complex-exponential kernel on the tested
-inputs.
-
-The kernel must stay bit-identical to the per-pair factored oracle in
-tests/conftest.py (`displaced_block_factored`, which rebuilds every column
-and restarts every recurrence), and `_radial_marginal` to
-`radial_marginal_factored`; the tests compare them with np.array_equal, so
-any change of operand order, of a recurrence or of the summation order
-shows. The retired kernels there, with the whole radial prefactor in one
-exponential per element (`displaced_block_powers`,
-`displaced_block_reference`, `radial_marginal_reference`), bound the
-factoring's rounding at 1e-13.
+The kernel must stay bit-identical to the per-pair oracle of this
+arithmetic in tests/conftest.py (`displaced_block_normalized`, which
+restarts every chain at order 0 and rebuilds every power from ones), and
+`_radial_marginal` to `radial_marginal_normalized`; the tests compare them
+with np.array_equal, so any change of operand order, of a recurrence or of
+the summation order shows. The retired kernels there bound the new
+arithmetic's rounding at 1e-13: the complex scale * (L * column) element
+with a column per offset (`displaced_block_factored`,
+`radial_marginal_factored`), and the ones with the whole radial prefactor
+in one exponential per element (`displaced_block_powers`,
+`displaced_block_reference`, `radial_marginal_reference`).
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -90,7 +98,7 @@ IDENTITY_TOL = 1e-8
 BAND_SLACK = 1e-9
 
 # Samples per pass of displaced_block. Columns are independent, so the split
-# changes no bits; it bounds the column-factor cache and the radial
+# changes no bits; it bounds the radial chains, the row accumulators and the
 # temporaries (wider passes raised peak memory and ran no faster).
 _SUBCHUNK = 20_000
 
@@ -255,9 +263,9 @@ def _schedule(chi: np.ndarray, probe_dim: int):
     """chi's support levels m, ascending, and for each element key
     (m >= j, |m - j|) the last level that reads it.
 
-    A key names a column factor and a Laguerre chain at once: for m >= j
-    the element is order j of offset m - j, for m < j order m of offset
-    j - m, so each level reads a key at most once and at a higher order.
+    A key names a radial chain: for m >= j the element is order j of offset
+    m - j, for m < j order m of offset j - m, so each level reads a key at
+    most once and at a higher order.
     """
     levels = [int(m) for m in support(chi)]
     last: dict[tuple[bool, int], int] = {}
@@ -267,123 +275,120 @@ def _schedule(chi: np.ndarray, probe_dim: int):
     return levels, last
 
 
-class _LaguerreChain:
-    """Generalized Laguerre L_order^(offset)(y), advanced order by order.
+class _RadialChain:
+    """Normalized radial function of offset d, advanced order by order:
+    R_k = sqrt(k! d! / (k + d)!) L_k^(d)(y) sqrt(e^-y y^d / d!).
 
-    Each value equals, bit for bit, what the three-term recurrence restarted
-    at order 0 gives: the steps and their operand order are the same.
+    Each value equals, bit for bit, what the recurrence restarted at order 0
+    gives: the steps and their operand order are the same.
     """
 
     __slots__ = ("offset", "y", "order", "prev", "curr")
 
-    def __init__(self, offset: float, y: np.ndarray):
+    def __init__(self, offset: int, y: np.ndarray, start: np.ndarray):
         self.offset = offset
         self.y = y
         self.order = 0
         self.prev = None
-        self.curr = np.ones_like(y)
+        self.curr = start
 
     def at(self, order: int, scratch: np.ndarray) -> np.ndarray:
         """The value at order (no lower than the last one read)."""
-        offset, y = self.offset, self.y
+        d, y = self.offset, self.y
         while self.order < order:
-            i = self.order
-            if i == 0:
-                self.prev, self.curr = self.curr, 1.0 + offset - y
+            k = self.order
+            if k == 0:
+                # (1 + d - y) R_0 / sqrt(1 + d)
+                nxt = np.subtract(1 + d, y)
+                np.multiply(nxt, self.curr, out=nxt)
+                np.divide(nxt, math.sqrt(1 + d), out=nxt)
+                self.prev, self.curr = self.curr, nxt
             else:
-                # ((2i + 1 + offset - y) curr - (i + offset) prev) / (i + 1),
-                # written over prev, which no later order reads
+                # ((2k + 1 + d - y) R_k - sqrt(k (k + d)) R_{k-1})
+                #   / sqrt((k + 1) (k + 1 + d)), written over R_{k-1}
                 prev = self.prev
-                np.subtract(2 * i + 1 + offset, y, out=scratch)
+                np.subtract(2 * k + 1 + d, y, out=scratch)
                 np.multiply(scratch, self.curr, out=scratch)
-                np.multiply(i + offset, prev, out=prev)
+                np.multiply(math.sqrt(k * (k + d)), prev, out=prev)
                 np.subtract(scratch, prev, out=prev)
-                np.divide(prev, i + 1, out=prev)
+                np.divide(prev, math.sqrt((k + 1) * (k + 1 + d)), out=prev)
                 self.prev, self.curr = self.curr, prev
             self.order += 1
         return self.curr
 
 
-def _powers(ratio: np.ndarray):
-    """Yield (d, ratio^d) for d = 0, 1, 2, ..., each power the previous one
-    times ratio, starting from ones."""
-    power = np.ones_like(ratio)
-    d = 0
-    while True:
-        yield d, power
-        power = power * ratio
-        d += 1
+def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
+    """Yield (j, m, radial) for chi's support levels m, ascending, and within
+    each level the probe rows j < probe_dim.
 
-
-def _radial_elements(rho: np.ndarray, unit: np.ndarray, probe_dim: int,
-                     schedule):
-    """Yield (j, m, scale, laguerre, column) for chi's support levels m,
-    ascending, and within each level the probe rows j < probe_dim.
-
-    <j|D(rho unit)|m> = scale * (laguerre * column), the factors of the
-    module docstring. A real unit of ones gives the real columns
-    +-sqrt(e^-y y^d / d!). Every row j still receives its terms in ascending
-    m. The laguerre array is overwritten by the next element.
+    radial is R_lo^(d)(rho^2), d = |m - j|, lo = min(m, j), the real factor
+    of <j|D(alpha)|m> in the module docstring. Every row j still receives
+    its terms in ascending m. The array is overwritten by a later element.
     """
     support, last = schedule
     y = rho**2
     half_y = 0.5 * y
     zero = rho == 0.0
     any_zero = bool(np.any(zero))
-    # log rho is only consumed where rho > 0: at rho = 0 the d = 0 columns
-    # come out 1 and the others are set to 0, so D(0) = I.
+    # log rho is only consumed where rho > 0: at rho = 0 the chains of
+    # offset 0 start at 1 and the others are set to 0, so D(0) = I.
     log_rho = np.log(np.where(zero, 1.0, rho))
     top = max(support[-1] if support else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
-    powers = {True: _powers(-unit.conj()), False: _powers(unit)}
-    columns: dict[tuple[bool, int], np.ndarray] = {}
-    chains: dict[tuple[bool, int], _LaguerreChain] = {}
-    radial = np.empty_like(y)
+    chains: dict[tuple[bool, int], _RadialChain] = {}
     scratch = np.empty_like(y)
     for m in support:
         for j in range(probe_dim):
             d = abs(m - j)
-            lo = min(m, j)
             key = (m >= j, d)
-            if key not in columns:
-                # advance this side's powers to d, making the column and the
-                # chain of each key a level reads; a power passed here is unread
-                side = key[0]
-                for k, power in powers[side]:
-                    if (side, k) in last:
-                        # exp((k log rho - y / 2) - lgam[k] / 2) * power
-                        np.multiply(k, log_rho, out=radial)
-                        np.subtract(radial, half_y, out=radial)
-                        np.subtract(radial, 0.5 * lgam[k], out=radial)
-                        np.exp(radial, out=radial)
-                        columns[side, k] = radial * power
-                        chains[side, k] = _LaguerreChain(float(k), y)
-                        if k and any_zero:
-                            columns[side, k][zero] = 0.0
-                    if k == d:
-                        break
-            scale = math.exp(0.5 * (lgam[lo] + lgam[d] - lgam[lo + d]))
-            yield j, m, scale, chains[key].at(lo, scratch), columns[key]
+            chain = chains.get(key)
+            if chain is None:
+                # R_0 = exp((d log rho - y / 2) - lgam[d] / 2), the root of
+                # a Poisson weight made in the log domain
+                start = np.multiply(d, log_rho)
+                np.subtract(start, half_y, out=start)
+                np.subtract(start, 0.5 * lgam[d], out=start)
+                np.exp(start, out=start)
+                if d and any_zero:
+                    start[zero] = 0.0
+                chain = chains[key] = _RadialChain(d, y, start)
+            yield j, m, chain.at(min(m, j), scratch)
             if last[key] == m:
-                del columns[key], chains[key]
+                del chains[key]
 
 
 def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
                       schedule) -> None:
     """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas))."""
-    # e^{i phi}, with phase 1 at alpha = 0
+    probe_dim, n = out.shape
+    # u = e^{i phi}, with phase 1 at alpha = 0
     unit = np.exp(1j * np.angle(alphas))
-    prod = np.empty(alphas.size, dtype=complex)
-    term = np.empty(alphas.size, dtype=complex)
-    for j, m, scale, laguerre, column in _radial_elements(
-            np.abs(alphas), unit, out.shape[0], schedule):
-        # (chi[m] scale) * (laguerre * column) with operands in that order
-        # and no output aliasing an input: numpy's complex multiply rounds
-        # differently with the operands swapped and for a one-element
-        # in-place call
-        np.multiply(laguerre, column, out=prod)
-        np.multiply(chi[m] * scale, prod, out=term)
-        out[j] += term
+    unit_conj = unit.conj()
+    # real and imaginary planes of each row's sum of s R chi_m conj(u)^m
+    acc_re = np.zeros((probe_dim, n))
+    acc_im = np.zeros((probe_dim, n))
+    term = np.empty(n)
+    power = np.ones_like(unit)
+    level = 0
+    for j, m, radial in _radial_elements(np.abs(alphas), probe_dim, schedule):
+        if j == 0:
+            # a new level: chi_m conj(u)^m, the powers sequential products
+            # from ones
+            while level < m:
+                power = power * unit_conj
+                level += 1
+            weight = chi[m] * power
+            weight_re = weight.real.copy()
+            weight_im = weight.imag.copy()
+        add = np.subtract if m >= j and (m - j) % 2 else np.add
+        np.multiply(radial, weight_re, out=term)
+        add(acc_re[j], term, out=acc_re[j])
+        np.multiply(radial, weight_im, out=term)
+        add(acc_im[j], term, out=acc_im[j])
+    power = np.ones_like(unit)
+    for j in range(probe_dim):
+        out[j] += (acc_re[j] + 1j * acc_im[j]) * power
+        power = power * unit
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -416,9 +421,8 @@ def _radial_marginal(chi: np.ndarray, rho: np.ndarray, probe_dim: int) -> np.nda
     """(1/2pi) d/d rho^2 of the probe-row masses: T[j, i] such that
     integral 2 rho T_j(rho) d rho over [0, inf) equals 1 for each j."""
     out = np.zeros((probe_dim, rho.size))
-    for j, m, scale, laguerre, column in _radial_elements(
-            rho, np.ones_like(rho), probe_dim, _schedule(chi, probe_dim)):
-        out[j] += np.abs(chi[m] * scale) ** 2 * (laguerre * column) ** 2
+    for j, m, radial in _radial_elements(rho, probe_dim, _schedule(chi, probe_dim)):
+        out[j] += np.abs(chi[m]) ** 2 * radial**2
     return out
 
 

@@ -284,15 +284,19 @@ def _radial_elements_reference(chi: np.ndarray, rho: np.ndarray, probe_dim: int)
 def displaced_block_reference(chi: np.ndarray, alphas: np.ndarray,
                               probe_dim: int) -> np.ndarray:
     """<j|D(alpha)|chi> for j < probe_dim, with the angular factor
-    e^{i d (pi - phi)} (m >= j) or e^{i d phi} (m < j) recomputed for every
-    (j, m) pair over the whole batch at once."""
+    e^{i d (pi - phi)} (m >= j) or e^{i d phi} (m < j), d = |m - j|, over the
+    whole batch at once: one complex exponential per (m >= j, d) key, made
+    when a pair first needs it."""
     chi = np.asarray(chi, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
     phi = np.angle(alphas)
+    angle_factors = {}
     out = np.zeros((probe_dim, alphas.size), dtype=complex)
     for j, m, elem in _radial_elements_reference(chi, np.abs(alphas), probe_dim):
-        angle_factor = np.exp(1j * abs(m - j) * (np.pi - phi if m >= j else phi))
-        out[j] += chi[m] * (elem * angle_factor)
+        key = (m >= j, abs(m - j))
+        if key not in angle_factors:
+            angle_factors[key] = np.exp(1j * abs(m - j) * (np.pi - phi if m >= j else phi))
+        out[j] += chi[m] * (elem * angle_factors[key])
     return out
 
 
@@ -380,6 +384,85 @@ def radial_marginal_factored(chi: np.ndarray, rho: np.ndarray,
     out = np.zeros((probe_dim, rho.size))
     for j, m, scale, lag, column in _factored_elements(chi, rho, probe_dim):
         out[j] += np.abs(chi[m] * scale) ** 2 * (lag * column) ** 2
+    return out
+
+
+def _normalized_radial(chi: np.ndarray, rho: np.ndarray, probe_dim: int):
+    """chi's support levels and, for a pair (j, m), R_lo^(d)(rho^2) rebuilt
+    from scratch: with d = |m - j| and lo = min(m, j), the normalized radial
+    function sqrt(lo! d! / (lo + d)!) L_lo^(d)(y) sqrt(e^-y y^d / d!),
+    y = rho^2, by the normalized three-term recurrence restarted at order 0
+    from the log-domain R_0 = sqrt(e^-y y^d / d!)."""
+    support = [int(m) for m in np.nonzero(np.abs(chi) > 1e-13)[0]]
+    y = rho**2
+    half_y = 0.5 * y
+    zero = rho == 0.0
+    log_rho = np.log(np.where(zero, 1.0, rho))
+    top = max(support[-1] if support else 0, probe_dim - 1)
+    lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
+
+    def radial(j: int, m: int) -> np.ndarray:
+        d = abs(m - j)
+        prev, curr = None, np.exp(d * log_rho - half_y - 0.5 * lgam[d])
+        if d:
+            curr[zero] = 0.0
+        for k in range(min(m, j)):
+            if k == 0:
+                nxt = (1 + d - y) * curr / math.sqrt(1 + d)
+            else:
+                nxt = (((2 * k + 1 + d - y) * curr - math.sqrt(k * (k + d)) * prev)
+                       / math.sqrt((k + 1) * (k + 1 + d)))
+            prev, curr = curr, nxt
+        return curr
+
+    return support, radial
+
+
+def displaced_block_normalized(chi: np.ndarray, alphas: np.ndarray,
+                               probe_dim: int) -> np.ndarray:
+    """<j|D(alpha)|chi> for j < probe_dim as u^j sum_m s R chi_m conj(u)^m,
+    u = e^{i phi}, s = (-1)^(m - j) for m >= j and 1 for m < j, per pair in
+    real arithmetic: each row sums s R Re(chi_m conj(u)^m) and
+    s R Im(chi_m conj(u)^m) in ascending m on real planes, then multiplies
+    the complex sum by u^j once. The powers of conj(u) and of u are
+    sequential products from ones, conj(u)'s restarted for every row."""
+    chi = np.asarray(chi, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    support, radial = _normalized_radial(chi, np.abs(alphas), probe_dim)
+    unit = np.exp(1j * np.angle(alphas))
+    unit_conj = unit.conj()
+    out = np.zeros((probe_dim, alphas.size), dtype=complex)
+    row_phase = np.ones_like(unit)
+    for j in range(probe_dim):
+        acc_re = np.zeros(alphas.size)
+        acc_im = np.zeros(alphas.size)
+        power, level = np.ones_like(unit), 0
+        for m in support:
+            while level < m:
+                power = power * unit_conj
+                level += 1
+            weight = chi[m] * power
+            r = radial(j, m)
+            if m >= j and (m - j) % 2:
+                acc_re = acc_re - r * weight.real
+                acc_im = acc_im - r * weight.imag
+            else:
+                acc_re = acc_re + r * weight.real
+                acc_im = acc_im + r * weight.imag
+        out[j] += (acc_re + 1j * acc_im) * row_phase
+        row_phase = row_phase * unit
+    return out
+
+
+def radial_marginal_normalized(chi: np.ndarray, rho: np.ndarray,
+                               probe_dim: int) -> np.ndarray:
+    """(1/2pi) d/d rho^2 of the probe-row masses as sum_m |chi_m|^2 R^2,
+    R rebuilt for every pair."""
+    support, radial = _normalized_radial(chi, rho, probe_dim)
+    out = np.zeros((probe_dim, rho.size))
+    for j in range(probe_dim):
+        for m in support:
+            out[j] += np.abs(chi[m]) ** 2 * radial(j, m) ** 2
     return out
 
 

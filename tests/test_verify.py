@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from contractive import (
@@ -41,9 +43,11 @@ from conftest import (
     conjugation_residuals_dense,
     dense_displace,
     displaced_block_factored,
+    displaced_block_normalized,
     displaced_block_powers,
     displaced_block_reference,
     radial_marginal_factored,
+    radial_marginal_normalized,
     radial_marginal_reference,
 )
 
@@ -209,16 +213,17 @@ def _kernel_alphas(rng, count):
     return rho * np.exp(2j * np.pi * rng.random(count))
 
 
-RETIRED = (displaced_block_powers, displaced_block_reference)
+RETIRED = (displaced_block_factored, displaced_block_powers, displaced_block_reference)
+LONG_RETIRED = (displaced_block_factored, displaced_block_reference)
 
 
 def _assert_matches_oracles(got, chi, alphas, probe, retired=RETIRED):
-    """Bit-equal to the per-pair factored oracle, and within 1e-13 of the
-    retired kernels (per-pair powers or complex exponentials, each with the
-    radial prefactor in one exponential). The two retired kernels agree to
-    5e-15, so long batches check against the exponential one alone, which
-    keeps the tests short."""
-    assert np.array_equal(got, displaced_block_factored(chi, alphas, probe))
+    """Bit-equal to the per-pair oracle of the real-split arithmetic, and
+    within 1e-13 of the retired kernels (the factored scale * (L * column)
+    per pair, and per-pair powers or complex exponentials with the radial
+    prefactor in one exponential). The two oldest agree to 5e-15, so long
+    batches skip the powers one, which keeps the tests short."""
+    assert np.array_equal(got, displaced_block_normalized(chi, alphas, probe))
     for oracle in retired:
         want = oracle(chi, alphas, probe)
         assert got.size == 0 or np.max(np.abs(got - want)) < 1e-13
@@ -230,7 +235,7 @@ def test_displaced_block_bit_identical_to_retired_kernel(probe):
     chis = _kernel_chis(rng)
     for count in (0, 1, _SUBCHUNK, _SUBCHUNK + 1, 62_500):
         alphas = _kernel_alphas(rng, count)
-        retired = (displaced_block_reference,) if count >= _SUBCHUNK else RETIRED
+        retired = LONG_RETIRED if count >= _SUBCHUNK else RETIRED
         for chi in chis:
             _assert_matches_oracles(displaced_block(chi, alphas, probe), chi, alphas,
                                     probe, retired)
@@ -247,10 +252,12 @@ def test_radial_marginal_bit_identical_to_retired_kernel(probe, monkeypatch):
         cap = radius_cap(probe, float(np.sum(np.arange(20) * np.abs(chi) ** 2)), 0.0)
         rho = np.linspace(0.0, cap, 2001)
         marginal = _radial_marginal(chi, rho, probe)
-        assert np.array_equal(marginal, radial_marginal_factored(chi, rho, probe))
-        assert np.max(np.abs(marginal - radial_marginal_reference(chi, rho, probe))) < 1e-13
+        assert np.array_equal(marginal, radial_marginal_normalized(chi, rho, probe))
+        for retired in (radial_marginal_factored, radial_marginal_reference):
+            assert np.max(np.abs(marginal - retired(chi, rho, probe))) < 1e-13
         got = choose_radius(chi, probe, 5e-4, cap)
-        for oracle in (radial_marginal_factored, radial_marginal_reference):
+        for oracle in (radial_marginal_normalized, radial_marginal_factored,
+                       radial_marginal_reference):
             monkeypatch.setattr("contractive.verify._radial_marginal", oracle)
             want = choose_radius(chi, probe, 5e-4, cap)
             monkeypatch.undo()
@@ -271,13 +278,13 @@ def test_displaced_block_bit_identical_on_criterion_8_chi():
     rho[::997] = 0.0
     alphas = rho * np.exp(2j * np.pi * rng.random(100_000))
     _assert_matches_oracles(displaced_block(chi, alphas, 6), chi, alphas, 6,
-                            retired=(displaced_block_reference,))
+                            retired=LONG_RETIRED)
 
 
 def test_displaced_block_factored_at_extreme_radii():
     # four-shell lattice seed squeezed at r = 0.8: support up to level 217;
-    # at |alpha| = 40, e^{-|alpha|^2/2} alone underflows, while each key's
-    # column sqrt(e^-y y^d / d!) stays in range through the log domain
+    # at |alpha| = 40, e^{-|alpha|^2/2} alone underflows, while each chain's
+    # start sqrt(e^-y y^d / d!) stays in range through the log domain
     chi = _seed_to_chi(lattice_phi([1.0, 1.0, 1.0, 1.0]).state,
                        SqueezeParams(r=0.8), 256).amps
     assert np.nonzero(np.abs(chi) > 1e-13)[0][-1] == 217
@@ -290,8 +297,36 @@ def test_displaced_block_factored_at_extreme_radii():
         warnings.simplefilter("error")
         got = displaced_block(chi, alphas, 8)
     assert np.all(np.isfinite(got))
-    assert np.array_equal(got, displaced_block_factored(chi, alphas, 8))
-    assert np.max(np.abs(got - displaced_block_reference(chi, alphas, 8))) < 1e-13
+    assert np.array_equal(got, displaced_block_normalized(chi, alphas, 8))
+    for retired in (displaced_block_factored, displaced_block_reference):
+        assert np.max(np.abs(got - retired(chi, alphas, 8))) < 1e-13
+
+
+@given(
+    dim=st.integers(1, 64),
+    probe=st.integers(1, 8),
+    keep=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=64, probe=8, keep=1.0, seed=0)
+@example(dim=64, probe=1, keep=0.1, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_kernels_within_1e13_of_factored_oracles(dim, probe, keep, seed):
+    # random chi with gaps in its support, alpha from 0 out to radius_cap
+    rng = np.random.default_rng(seed)
+    chi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    chi[rng.random(dim) > keep] = 0.0
+    chi[rng.integers(dim)] = 1.0
+    chi /= np.linalg.norm(chi)
+    cap = radius_cap(probe, float(np.sum(np.arange(dim) * np.abs(chi) ** 2)), 0.0)
+    rho = cap * np.sqrt(rng.random(64))
+    rho[:2] = 0.0, cap
+    alphas = rho * np.exp(2j * np.pi * rng.random(rho.size))
+    got = displaced_block(chi, alphas, probe)
+    assert np.max(np.abs(got - displaced_block_factored(chi, alphas, probe))) < 1e-13
+    radii = np.linspace(0.0, cap, 201)
+    marginal = _radial_marginal(chi, radii, probe)
+    assert np.max(np.abs(marginal - radial_marginal_factored(chi, radii, probe))) < 1e-13
 
 
 def test_conftest_oracles_do_not_import_the_package():
