@@ -10,6 +10,13 @@ expansion whose coefficients are Bessel values (Tal-Ezer & Kosloff, J. Chem.
 Phys. 81, 3967 (1984)) and whose matrix-vector product is an index shift, so
 nothing here forms a dim x dim array. The unchecked core `_expm_band` also
 takes a block of columns; the operator-identity check in `verify` runs on it.
+
+At the dims states are built at, a term of the expansion costs numpy's
+per-call overhead more than its arithmetic. So `_expm_band` writes each
+Chebyshev vector into the next row of a small ring and adds a full block of
+rows onto the sum in two numpy calls, with the operations and the order of
+a term-by-term sum: its output is bit-identical to that loop, which
+tests/conftest.py keeps as `expm_band_chebyshev_reference`.
 """
 
 from __future__ import annotations
@@ -90,26 +97,49 @@ def _bessel_j(x: float) -> np.ndarray:
     from zero beyond n and normalized by J_0 + 2 sum_k J_{2k} = 1. Above x it
     carries the ratios J_k/J_{k-1} = x/(2k - x J_{k+1}/J_k), which stay in
     (0, 1) there, so no step divides by x or overflows however small x is;
-    at and below x it carries the values, where 2k/x <= 2.
+    at and below x it carries the values, where 2k/x <= 2. Both recurrences
+    run on Python floats, whose arithmetic is numpy's float64 arithmetic.
     """
     top = math.floor(x) + 1  # lowest order above x
     n = top + 30 + math.ceil(20.0 * x ** (1.0 / 3.0))
-    ratios = np.empty(n - top + 1)
+    ratios = []  # orders n, n - 1, ..., top
     ratio = 0.0
     for order in range(n, top - 1, -1):
         ratio = x / (2.0 * order - x * ratio)
-        ratios[order - top] = ratio
+        ratios.append(ratio)
     values = np.empty(n + 1)
     values[top - 1] = 1.0
-    values[top:] = np.cumprod(ratios)
+    values[top:] = np.cumprod(ratios[::-1])
+    below = []  # orders top - 2, top - 3, ..., 0
+    value, upper = 1.0, ratios[-1]  # J_{top-1}, J_top up to a common factor
     for order in range(top - 1, 0, -1):
-        values[order - 1] = (2.0 * order / x) * values[order] - values[order + 1]
+        value, upper = (2.0 * order / x) * value - upper, value
+        below.append(value)
+    values[:top - 1] = below[::-1]
     values /= values[0] + 2.0 * values[2::2].sum()
     tail = 2.0 * np.cumsum(np.abs(values[:0:-1]))[::-1]  # tail[j]: orders > j
     small = np.flatnonzero(tail[top:] <= np.finfo(float).eps / 4)
     if small.size == 0:  # the margin above puts the tail near 1e-30
         raise ArithmeticError(f"Bessel tail at x = {x} does not fall below rounding")
     return values[:top + small[0] + 1]
+
+
+# _expm_band keeps the u_j of a block of terms in one ring array of at most
+# RING_ROWS rows and RING_BYTES: the out row, the block's rows and the two
+# u_j that carry into the next block. It sums each block in two numpy calls.
+# Where a block would hold fewer than RING_MIN_BLOCK terms, the calls no
+# longer dominate a term's cost, and it runs the in-place two-vector
+# recurrence instead.
+RING_BYTES = 128 * 1024
+RING_ROWS = 32
+RING_MIN_BLOCK = 8
+
+
+def _block_terms(row_bytes: int) -> int:
+    """Terms _expm_band sums per block for u_j of row_bytes bytes; 1 means
+    the in-place two-vector recurrence, summed term by term."""
+    block = min(RING_ROWS, RING_BYTES // row_bytes) - 3
+    return block if block >= RING_MIN_BLOCK else 1
 
 
 def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
@@ -122,6 +152,15 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     u_{j-1}. As ||u_j|| <= ||v||, the sum stops at the first order beyond rho
     whose Bessel tail 2 sum_{i>j} |J_i(rho)| is below half the unit roundoff,
     so the number of terms depends on rho alone.
+
+    From u_2 on, each u_{j+1} is written into the next row of a ring; when a
+    block of rows is full, the rows are weighted by their 2 J_j in one
+    multiply, and one add.reduce over the out row and the block adds them to
+    the sum in the order ((out + t_a) + t_{a+1}) + ..., the order of a sum
+    term by term. Every operation is the one the term-by-term loop makes, so
+    the result is bit-identical to it (tests/conftest.py keeps that loop as
+    expm_band_chebyshev_reference). Rows too large for a useful ring (see
+    _block_terms) run that loop itself.
     """
     dim = amps.shape[0]
     band = _band(k, c, dim)
@@ -129,31 +168,59 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     col_sums[:-k] += np.abs(band)
     col_sums[k:] += np.abs(band)
     rho = float(col_sums.max())
-    prev = amps.astype(complex)
     if rho == 0.0:
-        return prev
+        return amps.astype(complex)
     bessel = _bessel_j(rho)
     # 2 G / rho part by part: a complex division takes 1/rho, inf if subnormal
     band = ((2.0 * band).view(float) / rho).view(complex)
     if amps.ndim == 2:
         band = band[:, None]
     band_conj = band.conj()
+    block = _block_terms(16 * amps.size)
+    in_place = block == 1
+    # ring mode: row 0 takes out at a flush, rows 1..block the block's u_j,
+    # and the last two rows the u_{j-1}, u_j that start the next block
+    ring = np.empty((2 if in_place else block + 3,) + amps.shape, dtype=complex)
+    p, q = (0, 1) if in_place else (block + 1, block + 2)
+    prev, cur = ring[p], ring[q]
+    prev[...] = amps
     out = bessel[0] * prev
-    cur = np.zeros_like(prev)  # u_1 = (G / rho) u_0
+    cur[:k] = 0.0  # u_1 = (G / rho) u_0
     cur[k:] = 0.5 * band * prev[:-k]
     cur[:-k] -= 0.5 * band_conj * prev[k:]
     out += 2.0 * bessel[1] * cur
-    scratch = np.empty_like(prev[k:])
-    term = np.empty_like(prev)
-    for coeff in 2.0 * bessel[2:]:
-        # u_{j+1} = (2 G / rho) u_j + u_{j-1}, written over u_{j-1}
-        np.multiply(band, cur[:-k], out=scratch)
-        prev[k:] += scratch
-        np.multiply(band_conj, cur[k:], out=scratch)
-        prev[:-k] -= scratch
-        prev, cur = cur, prev
-        np.multiply(cur, coeff, out=term)
-        out += term
+    lo = [row[:-k] for row in ring]
+    hi = [row[k:] for row in ring]
+    head = [row[:k] for row in ring]
+    scratch = np.empty_like(hi[0])
+    term = np.empty_like(out) if in_place else None
+    coeffs = 2.0 * bessel[2:]
+    size = max(coeffs.size, 1) if in_place else block
+    for start in range(0, coeffs.size, size):
+        chunk = coeffs[start:start + size]
+        for i, coeff in enumerate(chunk):
+            # u_{j+1} = (2 G / rho) u_j + u_{j-1} into row w, which in place
+            # is u_{j-1}'s own row
+            w = p if in_place else i + 1
+            np.multiply(band, lo[q], out=scratch)
+            np.add(hi[p], scratch, out=hi[w])
+            if not in_place:
+                head[w][...] = head[p]
+            np.multiply(band_conj, hi[q], out=scratch)
+            np.subtract(lo[w], scratch, out=lo[w])
+            p, q = q, w
+            if in_place:
+                np.multiply(ring[q], coeff, out=term)
+                out += term
+        if not in_place:  # carry u_{j-1}, u_j, then sum the block
+            ring[block + 1] = ring[p]
+            ring[block + 2] = ring[q]
+            p, q = block + 1, block + 2
+            n = chunk.size
+            ring[0] = out
+            rows = ring[1:n + 1]
+            np.multiply(rows, chunk.reshape((n,) + (1,) * amps.ndim), out=rows)
+            np.add.reduce(ring[:n + 1], axis=0, out=out)
     return out
 
 

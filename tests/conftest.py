@@ -199,6 +199,71 @@ def expm_band_taylor_reference(amps: np.ndarray, k: int, c: complex) -> np.ndarr
     return out
 
 
+def bessel_j_reference(x: float) -> np.ndarray:
+    """J_0(x), ..., J_K(x) by Miller's backward recurrence, as the package
+    computed them with numpy scalars and arrays before its recurrences ran
+    on Python floats; K is the first order above x whose tail
+    2 sum_{i>K} |J_i(x)| is at most a quarter of the machine epsilon."""
+    top = math.floor(x) + 1  # lowest order above x
+    n = top + 30 + math.ceil(20.0 * x ** (1.0 / 3.0))
+    ratios = np.empty(n - top + 1)
+    ratio = 0.0
+    for order in range(n, top - 1, -1):
+        ratio = x / (2.0 * order - x * ratio)
+        ratios[order - top] = ratio
+    values = np.empty(n + 1)
+    values[top - 1] = 1.0
+    values[top:] = np.cumprod(ratios)
+    for order in range(top - 1, 0, -1):
+        values[order - 1] = (2.0 * order / x) * values[order] - values[order + 1]
+    values /= values[0] + 2.0 * values[2::2].sum()
+    tail = 2.0 * np.cumsum(np.abs(values[:0:-1]))[::-1]  # tail[j]: orders > j
+    small = np.flatnonzero(tail[top:] <= np.finfo(float).eps / 4)
+    if small.size == 0:  # the margin above puts the tail near 1e-30
+        raise ArithmeticError(f"Bessel tail at x = {x} does not fall below rounding")
+    return values[:top + small[0] + 1]
+
+
+def expm_band_chebyshev_reference(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
+    """exp(c a^dag^k - c* a^k) applied to a (dim,) vector or a (dim, n) block
+    by the Chebyshev-Bessel loop the package ran before it summed its terms
+    block by block: two vectors updated in place, each term weighted and
+    added onto the sum as soon as it is made. The package's kernel must
+    match it bit for bit."""
+    dim = amps.shape[0]
+    band = _generator_band(k, c, dim)
+    col_sums = np.zeros(dim)
+    col_sums[:-k] += np.abs(band)
+    col_sums[k:] += np.abs(band)
+    rho = float(col_sums.max())
+    prev = amps.astype(complex)
+    if rho == 0.0:
+        return prev
+    bessel = bessel_j_reference(rho)
+    # 2 G / rho part by part: a complex division takes 1/rho, inf if subnormal
+    band = ((2.0 * band).view(float) / rho).view(complex)
+    if amps.ndim == 2:
+        band = band[:, None]
+    band_conj = band.conj()
+    out = bessel[0] * prev
+    cur = np.zeros_like(prev)  # u_1 = (G / rho) u_0
+    cur[k:] = 0.5 * band * prev[:-k]
+    cur[:-k] -= 0.5 * band_conj * prev[k:]
+    out += 2.0 * bessel[1] * cur
+    scratch = np.empty_like(prev[k:])
+    term = np.empty_like(prev)
+    for coeff in 2.0 * bessel[2:]:
+        # u_{j+1} = (2 G / rho) u_j + u_{j-1}, written over u_{j-1}
+        np.multiply(band, cur[:-k], out=scratch)
+        prev[k:] += scratch
+        np.multiply(band_conj, cur[k:], out=scratch)
+        prev[:-k] -= scratch
+        prev, cur = cur, prev
+        np.multiply(cur, coeff, out=term)
+        out += term
+    return out
+
+
 def index_sums_reference(c: np.ndarray):
     """(<a>, <a^2>, n_bar) of an amplitude array by the index sums the package
     ran before it cached its weight tables: weights rebuilt from arange on
@@ -260,9 +325,10 @@ def _laguerre_reference(order: int, offset: float, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_elements_reference(chi: np.ndarray, rho: np.ndarray, probe_dim: int):
-    """Yield (j, m, R_jm(rho)), probe rows j outer and chi's support levels m
-    inner: the loop order the overcompleteness kernel ran before it cached
-    its angular factors."""
+    """Yield (j, m, R_jm(rho)), chi's support levels m outer and probe rows j
+    inner, so a caller can drop a table keyed on m - j after its last level.
+    Each row still meets its levels in ascending m, the per-row order of the
+    overcompleteness kernel before it cached its angular factors."""
     support = np.nonzero(np.abs(chi) > 1e-13)[0]
     y = rho**2
     zero = rho == 0.0
@@ -270,8 +336,8 @@ def _radial_elements_reference(chi: np.ndarray, rho: np.ndarray, probe_dim: int)
     log_rho = np.log(np.where(zero, 1.0, rho))
     top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
-    for j in range(probe_dim):
-        for m in support:
+    for m in support:
+        for j in range(probe_dim):
             d = abs(int(m) - j)
             lo = min(int(m), j)
             mag = np.exp(0.5 * (lgam[lo] - lgam[lo + d]) + d * log_rho - 0.5 * y)
@@ -281,12 +347,18 @@ def _radial_elements_reference(chi: np.ndarray, rho: np.ndarray, probe_dim: int)
             yield j, int(m), elem
 
 
+def _still_used(side: bool, d: int, m: int, probe_dim: int) -> bool:
+    """Whether a level above m pairs with a probe row j < probe_dim at
+    distance d on this side (m >= j when side is True)."""
+    return d > m - probe_dim + 1 if side else d < probe_dim - 1 - m
+
+
 def displaced_block_reference(chi: np.ndarray, alphas: np.ndarray,
                               probe_dim: int) -> np.ndarray:
     """<j|D(alpha)|chi> for j < probe_dim, with the angular factor
     e^{i d (pi - phi)} (m >= j) or e^{i d phi} (m < j), d = |m - j|, over the
     whole batch at once: one complex exponential per (m >= j, d) key, made
-    when a pair first needs it."""
+    when a pair first needs it and dropped after the last level that uses it."""
     chi = np.asarray(chi, dtype=complex)
     alphas = np.asarray(alphas, dtype=complex)
     phi = np.angle(alphas)
@@ -297,6 +369,9 @@ def displaced_block_reference(chi: np.ndarray, alphas: np.ndarray,
         if key not in angle_factors:
             angle_factors[key] = np.exp(1j * abs(m - j) * (np.pi - phi if m >= j else phi))
         out[j] += chi[m] * (elem * angle_factors[key])
+        if j == probe_dim - 1:  # level m is done
+            angle_factors = {key: factor for key, factor in angle_factors.items()
+                             if _still_used(*key, m, probe_dim)}
     return out
 
 
@@ -321,7 +396,7 @@ def displaced_block_powers(chi: np.ndarray, alphas: np.ndarray,
 
 def radial_marginal_reference(chi: np.ndarray, rho: np.ndarray,
                               probe_dim: int) -> np.ndarray:
-    """(1/2pi) d/d rho^2 of the probe-row masses, by the j-outer loop."""
+    """(1/2pi) d/d rho^2 of the probe-row masses, pair by pair."""
     out = np.zeros((probe_dim, rho.size))
     for j, m, elem in _radial_elements_reference(chi, rho, probe_dim):
         out[j] += np.abs(chi[m]) ** 2 * elem**2
@@ -330,13 +405,14 @@ def radial_marginal_reference(chi: np.ndarray, rho: np.ndarray,
 
 def _factored_elements(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
                        ratios=None):
-    """Yield (j, m, scale, L, column) per pair, probe rows j outer, with
-    <j|D(alpha)|m> = scale * (L * column): d = |m - j|, lo = min(m, j),
+    """Yield (j, m, scale, L, column) per pair, chi's support levels m outer,
+    with <j|D(alpha)|m> = scale * (L * column): d = |m - j|, lo = min(m, j),
     scale = sqrt(lo! d! / (lo + d)!), L = L_lo^(d)(|alpha|^2) restarted at
     order 0, and column = sqrt(e^-y y^d / d!) (y = |alpha|^2), times the
     angular factor ratios[m >= j]^d when ratios are given. The powers of each
-    ratio are sequential products from ones, 1, r, r*r, ..., formed once per
-    call; everything else is rebuilt from scratch for every pair."""
+    ratio are sequential products from ones, 1, r, r*r, ..., each formed once
+    per call when a pair first needs it and dropped after the last level that
+    uses it; everything else is rebuilt from scratch for every pair."""
     support = np.nonzero(np.abs(chi) > 1e-13)[0]
     rho = np.abs(alphas)
     y = rho**2
@@ -345,22 +421,28 @@ def _factored_elements(chi: np.ndarray, alphas: np.ndarray, probe_dim: int,
     log_rho = np.log(np.where(zero, 1.0, rho))
     top = max(int(support[-1]) if support.size else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
-    powers = {}
-    for side, ratio in (ratios or {}).items():
-        powers[side] = [np.ones(alphas.size, dtype=complex)]
-        for _ in range(top):
-            powers[side].append(powers[side][-1] * ratio)
-    for j in range(probe_dim):
-        for m in map(int, support):
+    # per side: the highest power formed so far and the powers still in use
+    powers = {side: (0, {0: np.ones(alphas.size, dtype=complex)})
+              for side in (ratios or {})}
+    for m in map(int, support):
+        for j in range(probe_dim):
             d = abs(m - j)
             lo = min(m, j)
             column = np.exp(d * log_rho - half_y - 0.5 * lgam[d])
             if ratios is not None:
-                column = column * powers[m >= j][d]
+                high, table = powers[m >= j]
+                while high < d:
+                    table[high + 1] = table[high] * ratios[m >= j]
+                    high += 1
+                powers[m >= j] = (high, table)
+                column = column * table[d]
             if d:
                 column[zero] = 0.0
             scale = math.exp(0.5 * (lgam[lo] + lgam[d] - lgam[lo + d]))
             yield j, m, scale, _laguerre_reference(lo, float(d), y), column
+        for side, (high, table) in powers.items():  # level m is done
+            powers[side] = (high, {d: power for d, power in table.items()
+                                   if d == high or _still_used(side, d, m, probe_dim)})
 
 
 def displaced_block_factored(chi: np.ndarray, alphas: np.ndarray,

@@ -208,3 +208,28 @@ def test_cli_output_matches_golden_corpus_at_lower_simd_levels():
         ran += 1
     if ran == 0:
         pytest.skip("numpy imports at no lower SIMD level here")
+
+
+# Argv the BLAS test reruns: every verify suite, and the corpus's sgcs sweep.
+BLAS_ARGVS = [
+    "verify all --budget 200 --seed 1",
+    "sweep --kind sgcs --alpha 0.5+0i --r 0.1,0.4 --theta 0,1.2 --nbar 0.5,2 --dim 128",
+]
+
+
+def test_cli_output_identical_across_blas_thread_counts():
+    # stdout must not depend on how many threads OpenBLAS splits its work
+    # over; on a one-CPU machine both runs use one thread and agree trivially
+    root = str(Path(contractive.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    for argv in BLAS_ARGVS:
+        outputs = []
+        for threads in (None, "1"):
+            run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "contractive.cli", *argv.split()],
+                                  capture_output=True, timeout=60, env=run_env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1], argv

@@ -37,11 +37,13 @@ from contractive import (
     number_state,
     squeeze,
 )
-from contractive.states import _band, _bessel_j, _expm_band
+from contractive.states import RING_BYTES, _band, _bessel_j, _block_terms, _expm_band
 
 from conftest import (
+    bessel_j_reference,
     dense_displace,
     dense_squeeze,
+    expm_band_chebyshev_reference,
     expm_band_taylor_reference,
     expm_multiply_apply,
     squeezed_vacuum_amps,
@@ -305,6 +307,142 @@ def test_block_kernel_matches_column_by_column():
             assert np.max(np.abs(got[:, n] - _expm_band(cols[:, n], k, c))) <= 1e-13
 
 
+def _one_norm(k: int, c: complex, dim: int) -> float:
+    """The 1-norm of c a^dag^k - c* a^k at dim, its largest column sum."""
+    col_sums = np.zeros(dim)
+    band = np.abs(_band(k, c, dim))
+    col_sums[:dim - k] += band
+    col_sums[k:] += band
+    return float(col_sums.max())
+
+
+def _generator_of_norm(k: int, dim: int, rho: float, phase: float) -> complex:
+    """c whose generator c a^dag^k - c* a^k has 1-norm rho at dim; where
+    rho / norm(band of c = 1) underflows, |c| = rho stands in, the smallest
+    nonzero generator."""
+    factor = _one_norm(k, 1.0, dim) or 1.0
+    size = rho / factor if rho / factor > 0.0 else rho
+    return size * complex(math.cos(phase), math.sin(phase))
+
+
+def _random_amps(dim: int, columns, seed: int) -> np.ndarray:
+    """A (dim,) vector (columns None) or a (dim, columns) block on a random
+    scale, with every other column zero."""
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if columns is None else (dim, columns)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps *= 10.0 ** rng.uniform(-3.0, 3.0)
+    if columns is not None:
+        amps[:, ::2] = 0.0  # zero columns
+    return amps
+
+
+def _ring_switch_dims() -> list[int]:
+    """The vector dims on each side of the first and the last change of the
+    kernel's block length (the last is where it turns to the in-place
+    recurrence)."""
+    blocks = {dim: _block_terms(16 * dim) for dim in range(2, 4097)}
+    switches = [dim for dim in range(3, 4097) if blocks[dim] != blocks[dim - 1]]
+    return sorted({switches[0] - 1, switches[0], switches[-1] - 1, switches[-1]})
+
+
+RING_SWITCH_DIMS = _ring_switch_dims()
+
+
+@given(
+    k=st.sampled_from([1, 2]),
+    dim=st.sampled_from([2, 3, 5, 32, 64, 256, 1024] + RING_SWITCH_DIMS),
+    rho=st.sampled_from([0.0, 5e-324, 7.3e-101, 1e-8, 0.5, 4.0, 130.0, 1000.0]),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    columns=st.sampled_from([None, 1, 4, 15, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=2, dim=256, rho=1000.0, phase=1.0, columns=None, seed=0)
+@example(k=1, dim=64, rho=130.0, phase=4.0, columns=15, seed=1)
+@example(k=2, dim=1024, rho=130.0, phase=2.0, columns=32, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_kernel_bit_identical_to_retired_chebyshev_loop(k, dim, rho, phase, columns, seed):
+    # summing the terms block by block keeps every operation and its order
+    c = _generator_of_norm(k, dim, rho, phase)
+    amps = _random_amps(dim, columns, seed)
+    got = _expm_band(amps, k, c)
+    want = expm_band_chebyshev_reference(amps, k, c)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def _rho_for_terms(terms: int) -> float:
+    """A 1-norm inside the range where the series runs `terms` terms past
+    u_1; that count grows with rho one term at a time."""
+
+    def first_rho(count: int) -> float:  # where the count reaches count
+        lo, hi = 1e-300, 2.0 * count + 10.0
+        for _ in range(200):
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            if bessel_j_reference(mid).size - 2 >= count:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    return 0.5 * (first_rho(terms) + first_rho(terms + 1))
+
+
+@pytest.mark.parametrize("shape", [(dim,) for dim in [64] + RING_SWITCH_DIMS]
+                         + [(64, 1), (64, 4), (32, 15), (16, 32), (24, 32)])
+def test_kernel_bit_identical_at_block_boundaries(shape):
+    # term counts on each side of one and two full blocks, where the kernel
+    # carries u_{j-1}, u_j into the next block or flushes a partial one
+    block = _block_terms(16 * math.prod(shape))
+    columns = shape[1] if len(shape) == 2 else None
+    amps = _random_amps(shape[0], columns, seed=math.prod(shape))
+    for k in (1, 2):
+        for terms in sorted({1, 2, block - 1, block, block + 1, 2 * block} - {0}):
+            c = _generator_of_norm(k, shape[0], _rho_for_terms(terms), 0.7)
+            assert bessel_j_reference(_one_norm(k, c, shape[0])).size - 2 == terms
+            got = _expm_band(amps, k, c)
+            want = expm_band_chebyshev_reference(amps, k, c)
+            assert got.tobytes() == want.tobytes(), (k, terms)
+
+
+@given(x=st.floats(1e-300, 5000.0))
+@example(x=5e-324)
+@example(x=1.0)
+@example(x=2.0)
+@example(x=128.0)
+@example(x=254.0)
+@settings(max_examples=200, deadline=None)
+def test_bessel_bit_identical_to_retired_recurrence(x):
+    got = _bessel_j(x)
+    want = bessel_j_reference(x)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_memory_stays_within_the_ring_bound():
+    # The term-by-term loop held about ten arrays the size of its input
+    # (10.2 at dim 4096, measured). The ring adds at most RING_BYTES
+    # (128 KiB) and, when it sums a block, numpy's broadcast buffer of at
+    # most 8192 complex values (another 128 KiB). So the bounds are
+    # 128 KiB + 11 inputs where the rows are too large for a ring (832 KiB
+    # at dim 4096, 1.5 MiB for a 128 x 64 block; a 32-row ring of them
+    # would take 2 and 4 MiB alone), and 256 KiB + 16 inputs at dim 256
+    # (320 KiB), where 96 row views add about 3 inputs.
+    vacuum = np.zeros(4096, dtype=complex)
+    vacuum[0] = 1.0
+    cases = ((vacuum, 2, -0.5, RING_BYTES + 11 * vacuum.nbytes),
+             (np.eye(128, 64, dtype=complex), 1, 1.0 + 0.5j, RING_BYTES + 11 * 128 * 64 * 16),
+             (vacuum[:256].copy(), 2, -0.5, 2 * RING_BYTES + 16 * 256 * 16))
+    for amps, k, c, bound in cases:
+        tracemalloc.start()
+        try:
+            _expm_band(amps, k, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (amps.shape, peak)
+
+
 @given(
     k=st.sampled_from([1, 2]),
     dim=st.sampled_from([2, 3, 32, 64, 256, 1024]),
@@ -316,21 +454,8 @@ def test_block_kernel_matches_column_by_column():
 @example(k=1, dim=64, rho=7.3e-101, phase=0.0, columns=None, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_retired_taylor_kernel(k, dim, rho, phase, columns, seed):
-    # |c| puts the generator's 1-norm at rho; where rho / norm(band of c = 1)
-    # underflows, |c| = rho stands in, the smallest nonzero generator
-    col_sums = np.zeros(dim)
-    unit_band = np.abs(_band(k, 1.0, dim))
-    col_sums[:dim - k] += unit_band
-    col_sums[k:] += unit_band
-    factor = float(col_sums.max()) or 1.0
-    size = rho / factor if rho / factor > 0.0 else rho
-    c = size * complex(math.cos(phase), math.sin(phase))
-    rng = np.random.default_rng(seed)
-    shape = (dim,) if columns is None else (dim, columns)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    amps *= 10.0 ** rng.uniform(-3.0, 3.0)
-    if columns is not None:
-        amps[:, ::2] = 0.0  # zero columns
+    c = _generator_of_norm(k, dim, rho, phase)
+    amps = _random_amps(dim, columns, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow at subnormal rho
         got = _expm_band(amps, k, c)
