@@ -3,9 +3,11 @@
 `displace` and `squeeze` apply exp(generator) to the vector with a
 Chebyshev-Bessel expansion; the dense truncated unitaries in conftest are
 the reference they must reproduce. The kernels the package ran before are
-kept in conftest as further references: the scaled Taylor loop it retired
-for the expansion, and the sparse `expm_multiply` it used before that. The
-Bessel coefficients are checked against scipy.
+kept in conftest as further references: the term-by-term Chebyshev loop and
+its numpy Bessel recurrence, which the kernel must match bit for bit, the
+scaled Taylor loop it retired for the expansion, and the sparse
+`expm_multiply` it used before that. The Bessel coefficients are also
+checked against scipy.
 """
 
 import ast
