@@ -11,12 +11,13 @@ Phys. 81, 3967 (1984)) and whose matrix-vector product is an index shift, so
 nothing here forms a dim x dim array. The unchecked core `_expm_band` also
 takes a block of columns; the operator-identity check in `verify` runs on it.
 
-At the dims states are built at, a term of the expansion costs numpy's
-per-call overhead more than its arithmetic. So `_expm_band` writes each
-Chebyshev vector into the next row of a small ring and adds a full block of
-rows onto the sum in two numpy calls, with the operations and the order of
-a term-by-term sum: its output is bit-identical to that loop, which
-tests/conftest.py keeps as `expm_band_chebyshev_reference`.
+At the dims most states are built at (a few hundred), a term of the
+expansion costs more in numpy's per-call overhead than in arithmetic. So
+`_expm_band` writes each Chebyshev vector into the next row of a small ring
+and adds a full block of rows onto the sum in two numpy calls, with the
+operations and the order of a term-by-term sum: its output is bit-identical
+to that loop, which tests/conftest.py keeps as
+`expm_band_chebyshev_reference`.
 """
 
 from __future__ import annotations
