@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from .errors import (
     require_int,
     require_real,
 )
-from .fock import FockVector, number_state
+from .fock import FockVector, number_state, read_json, write_csv, write_json
 
 if TYPE_CHECKING:
     from . import dynamics, gcs, states
@@ -109,11 +108,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise InvalidParameterError(f"config {path} is not JSON: {exc}") from None
+        data = read_json(path, "a JSON config file", InvalidParameterError)
         if not isinstance(data, dict):
             raise InvalidParameterError(f"config {path} is not a JSON object")
         known = {k: data[k] for k in _SETTINGS if k in data}
@@ -147,7 +142,7 @@ def _scales(config: RunConfig) -> dynamics.PhysicalScales:
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    write_json(sys.stdout, obj)
 
 
 def _moments_payload(summary: moments.MomentSummary) -> dict:
@@ -230,8 +225,7 @@ def cmd_state_moments(args: argparse.Namespace, config: RunConfig) -> int:
     payload = _moments_payload(moments.summarize(state))
     if config.format == "csv":
         keys = ["var_x", "var_p", "cov", "n_bar", "uncertainty_product"]
-        print(",".join(keys))
-        print(",".join(f"{payload[k]:.17g}" for k in keys))
+        write_csv(sys.stdout, keys, [[payload[k] for k in keys]])
     else:
         _emit(payload)
     return 0
@@ -253,10 +247,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         trace = dynamics.evolve_oscillator(summary, scales.omega, times)
     else:
         trace = dynamics.evolve_free_mass(summary, scales, times)
-    if args.out:
-        trace.to_csv(args.out)
-    else:
-        trace.to_csv(sys.stdout)
+    trace.to_csv(args.out or sys.stdout)
     if summary.cov < 0:
         window = dynamics.contraction_window(summary, scales)
         _emit({
@@ -310,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
             state = states.make_scs(alpha, params, dim=config.dim)
         else:
             nbar = require_real(nbar, "--nbar", InvalidParameterError)
-            shells = max(1, int(np.ceil(nbar / 3.0)) or 1)
+            shells = max(1, int(np.ceil(nbar / 3.0)))
             seed = gcs.lattice_phi_for_nbar(nbar, shells).state
             state = states.make_sgcs(alpha, params, seed, dim=config.dim)
         summary = moments.summarize(state)
@@ -325,18 +316,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     header = ["kind", "alpha_re", "alpha_im", "r", "theta", "seed_nbar",
               "var_x", "var_p", "cov", "uncertainty_product",
               "is_squeezed", "is_contractive", "is_gcs", "is_extremal"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else f"{v:.17g}" if isinstance(v, float)
-            else str(v) for v in row
-        ))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_csv(args.out or sys.stdout, header, rows)
     return 0
 
 

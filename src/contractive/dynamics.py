@@ -17,9 +17,7 @@ reference curve reported alongside is max(var_X + (t/m)^2 var_P, hbar t / m).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -31,7 +29,7 @@ from .errors import (
     require_real,
     require_real_array,
 )
-from .fock import FockVector, ensure_resolved, index_weights, support
+from .fock import FockVector, ensure_resolved, index_weights, support, write_csv
 from .moments import MomentSummary, summarize
 
 # Free-mass direct evolution embeds the state at >= this multiple of its
@@ -82,23 +80,9 @@ class EvolutionTrace:
         The sql column is left empty for oscillator traces. `target` is a
         path or a text file object.
         """
-        def fmt(v: float) -> str:
-            return f"{v:.17g}"
-
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "var_x", "rql_lower", "rql_upper", "sql"])
-            for i, t in enumerate(self.times):
-                sql = fmt(self.sql[i]) if self.sql is not None else ""
-                writer.writerow([
-                    fmt(t), fmt(self.var_x[i]),
-                    fmt(self.rql_lower[i]), fmt(self.rql_upper[i]), sql,
-                ])
-        finally:
-            if own:
-                fh.close()
+        sql = self.sql if self.sql is not None else [None] * self.times.size
+        write_csv(target, ["t", "var_x", "rql_lower", "rql_upper", "sql"],
+                  zip(self.times, self.var_x, self.rql_lower, self.rql_upper, sql))
 
 
 @dataclass(frozen=True)
@@ -114,8 +98,6 @@ def _as_times(times) -> np.ndarray:
     arr = np.atleast_1d(require_real_array(times, "times", InvalidParameterError))
     if arr.ndim != 1:
         raise InvalidParameterError("times must be a scalar or 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("times must be finite")
     return arr
 
 

@@ -145,8 +145,8 @@ def require_complex(value, name: str, error: type[ContractiveError]) -> complex:
 def require_real_array(values, name: str,
                        error: type[ContractiveError]) -> np.ndarray:
     """values as a float array; error unless numpy reads them as integers or
-    reals and no entry of a list or tuple is a bool (strings, complex
-    numbers, None and ragged nesting excluded)."""
+    reals, no entry of a list or tuple is a bool (strings, complex numbers,
+    None and ragged nesting excluded) and no entry is nan or +-inf."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -155,4 +155,7 @@ def require_real_array(values, name: str,
         raise error(f"{name} must be real numbers, got {arr.dtype} entries")
     if isinstance(values, (list, tuple)) and any(isinstance(v, bool) for v in values):
         raise error(f"{name} must be real numbers, got a bool entry")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite")
+    return arr

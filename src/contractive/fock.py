@@ -5,10 +5,15 @@ x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)). This module owns the
 truncated ladder: the weight table `index_weights`, the index sums
 `index_sums` (<a>, <a^2>, n_bar) every moment comes from, and the occupied
 support cut `support`. No dense operator matrix is built here.
+
+It also owns the text formats every file and stream goes through: one-line
+JSON with sorted keys (`read_json`, `write_json`) and CSV with `.17g` floats
+(`write_csv`), each line ending in a plain newline on every platform.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass
@@ -23,6 +28,7 @@ from .errors import (
     OutOfRangeError,
     TrivialStateError,
     TruncationError,
+    UsageError,
     require_int,
 )
 
@@ -116,18 +122,51 @@ class FockVector:
         return cls(re + 1j * im)
 
     def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "FockVector":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise InvalidSpecError(f"{path} is not a JSON state file: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, "a JSON state file", InvalidSpecError))
+
+
+def read_json(path, what: str, error: type[UsageError]):
+    """The JSON value in the file at path; error, naming the path and what it
+    should be, if the file does not parse. OSError passes through."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path} is not {what}: {exc}") from None
+
+
+def _text_out(target):
+    """A context giving a text stream: target itself if it is one, else the
+    file at path target, opened so that lines end in a plain newline."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, "w", newline="")
+    return contextlib.nullcontext(target)
+
+
+def write_json(target, obj) -> None:
+    """Write obj to a path or text stream as one line of JSON, keys sorted."""
+    with _text_out(target) as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_csv(target, header, rows) -> None:
+    """Write a header and rows to a path or text stream as CSV: floats as
+    `.17g`, None as an empty field, anything else as str. No field needs
+    quoting, as every one is a number or a fixed word."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_csv_field, row)) for row in rows)
+    with _text_out(target) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def number_state(n: int, dim: int) -> FockVector:

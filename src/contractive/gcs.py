@@ -10,7 +10,6 @@ checks are the index sums of `fock.index_sums`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .errors import (
     require_real,
     require_real_array,
 )
-from .fock import FockVector, index_sums, ladder_moments
+from .fock import FockVector, index_sums, ladder_moments, read_json
 
 # A candidate seed qualifies when both ladder-moment residuals are below this.
 SEED_RESIDUAL_TOL = 1e-8
@@ -90,12 +89,7 @@ class PhiSpec:
 
     @classmethod
     def load(cls, path) -> "PhiSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise InvalidSpecError(f"{path} is not a JSON band spec: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, "a JSON band spec", InvalidSpecError))
 
 
 @dataclass(frozen=True)
@@ -229,8 +223,8 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
     w = require_real_array(weights, "weights", InvalidSpecError)
     if w.ndim != 1 or w.size == 0:
         raise InvalidSpecError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise InvalidSpecError("weights must be finite and nonnegative")
+    if np.any(w < 0):
+        raise InvalidSpecError("weights must be nonnegative")
     with np.errstate(over="ignore"):
         total = w.sum()
     if math.isinf(total):

@@ -515,7 +515,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     else:
         top = int(support(chi.amps)[-1])
         n_ang = 2 * (top + probe_dim) + 9
-        n_rad = max(64, min(512, budget // n_ang if budget >= n_ang else 64))
+        n_rad = max(64, min(512, budget // n_ang))
         nodes, weights = np.polynomial.legendre.leggauss(n_rad)
         rho = 0.5 * radius * (nodes + 1.0)
         w_rad = 0.5 * radius * weights * rho          # rho d rho

@@ -394,6 +394,14 @@ def test_sweep_csv(tmp_path, capsys):
     row = by_key[(0.5, 1.5707963267948966)]
     assert row[11] == "1"
     assert row[12] == "0"
+    # the file has plain LF endings and the bytes the same sweep prints
+    data = out_file.read_bytes()
+    assert b"\r" not in data
+    _, out, _ = run_cli(
+        capsys, "sweep", "--kind", "scs", "--r", "0,0.5",
+        "--theta", "0,1.5707963267948966",
+    )
+    assert data == out.encode()
 
 
 def test_sweep_nbar_only_for_sgcs(capsys):

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +16,15 @@ from contractive import (
     random_state,
     summarize,
 )
-from contractive.errors import DimensionMismatchError, TrivialStateError
-from contractive.fock import RANDOM_STATE_MIN_DIM
+from contractive.cli import RunConfig
+from contractive.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidSpecError,
+    TrivialStateError,
+)
+from contractive.fock import RANDOM_STATE_MIN_DIM, write_csv, write_json
+from contractive.gcs import PhiSpec
 
 from conftest import coherent_amps, dense_ladder, dense_quadratures, expect
 
@@ -169,6 +178,46 @@ def test_json_round_trip(tmp_path):
     raw = json.loads(path.read_text())
     assert set(raw) == {"dim", "re", "im"}
     assert raw["dim"] == 24
+
+
+def test_write_csv_field_rules(tmp_path):
+    floats = [0.1, 1 / 3, -2.5e-300, 1e22, np.float64(math.pi)]
+    rows = [floats, [None, 7, "scs", np.int64(-3), 0.0]]
+    stream = io.StringIO()
+    write_csv(stream, ["a", "b", "c", "d", "e"], rows)
+    text = stream.getvalue()
+    assert text.endswith("\n")
+    header, first, second = text[:-1].split("\n")
+    assert header == "a,b,c,d,e"
+    # floats round-trip through .17g; ints and words come out verbatim
+    assert [float(v) for v in first.split(",")] == floats
+    assert second == ",7,scs,-3,0"
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b", "c", "d", "e"], rows)
+    assert path.read_bytes() == text.encode()
+    write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+    assert path.read_bytes() == text.encode()
+
+
+def test_write_json_one_sorted_line(tmp_path):
+    stream = io.StringIO()
+    write_json(stream, {"b": [1, 0.5], "a": "x"})
+    assert stream.getvalue() == '{"a": "x", "b": [1, 0.5]}\n'
+    path = tmp_path / "obj.json"
+    write_json(path, {"b": [1, 0.5], "a": "x"})
+    assert path.read_bytes() == stream.getvalue().encode()
+
+
+@pytest.mark.parametrize("load,error", [
+    (FockVector.load, InvalidSpecError),
+    (PhiSpec.load, InvalidSpecError),
+    (RunConfig.from_file, InvalidParameterError),
+])
+def test_non_json_file_names_its_path(tmp_path, load, error):
+    path = tmp_path / "broken.json"
+    path.write_text("dim = 32\n")
+    with pytest.raises(error, match="^" + re.escape(f"{path} is not a JSON ")):
+        load(str(path))
 
 
 def test_from_json_dict_length_mismatch():
