@@ -23,10 +23,9 @@ _EXPORTS = {
         "NotContractiveError", "OutOfRangeError", "SeedConditionError",
         "TrivialStateError", "TruncationError", "UsageError",
     ),
-    "fock": ("FockVector", "ensure_resolved", "ladder_moments", "number_state",
-             "random_state"),
+    "fock": ("FockVector", "ensure_resolved", "number_state", "random_state"),
     "gcs": ("PhiSpec", "PhiState", "check_phi", "lattice_phi",
-            "lattice_phi_for_nbar", "solve_phi", "solve_phi_n3"),
+            "lattice_phi_for_nbar", "solve_phi"),
     "moments": ("MomentSummary", "StateClass", "classify", "lambda_from_moments",
                 "scs_predicted_moments", "sgcs_predicted_moments", "summarize"),
     "states": ("SqueezeParams", "displace", "extremal_fock", "make_scs",

@@ -217,11 +217,6 @@ def index_sums(amps: np.ndarray) -> tuple[complex, complex, float]:
     return complex(first), complex(second), float((m * np.abs(amps) ** 2).sum())
 
 
-def ladder_moments(state: FockVector) -> tuple[complex, complex]:
-    """(<a>, <a^2>) by direct index sums; exact at any cutoff."""
-    return index_sums(state.amps)[:2]
-
-
 def support(amps: np.ndarray) -> np.ndarray:
     """Levels whose amplitude magnitude exceeds SUPPORT_TOL, ascending."""
     return np.flatnonzero(np.abs(amps) > SUPPORT_TOL)

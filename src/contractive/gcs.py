@@ -26,7 +26,7 @@ from .errors import (
     require_real,
     require_real_array,
 )
-from .fock import FockVector, index_sums, ladder_moments, read_json
+from .fock import FockVector, index_sums, read_json
 
 # A candidate seed qualifies when both ladder-moment residuals are below this.
 SEED_RESIDUAL_TOL = 1e-8
@@ -109,7 +109,7 @@ class SeedCheck:
 
 def check_phi(state: FockVector) -> SeedCheck:
     """Test the vanishing ladder-moment conditions on a normalized state."""
-    first, second = ladder_moments(state.normalized())
+    first, second = index_sums(state.normalized().amps)[:2]
     ra, ra2 = abs(first), abs(second)
     return SeedCheck(ok=max(ra, ra2) < SEED_RESIDUAL_TOL, residual_a=ra, residual_a2=ra2)
 
@@ -137,9 +137,7 @@ def _finish(amps: np.ndarray, dim: int | None) -> PhiState:
         raise InvalidSpecError(
             f"dim {dim} cannot hold a band reaching level {amps.size - 1}"
         )
-    padded = np.zeros(dim, dtype=complex)
-    padded[: amps.size] = amps
-    state = FockVector(padded)
+    state = FockVector(amps).padded(dim)
     first, second, n_bar = index_sums(state.amps)
     if abs(first) >= SOLVE_RESIDUAL_TOL or abs(second) >= SOLVE_RESIDUAL_TOL:
         raise DegenerateSpecError(
@@ -171,7 +169,7 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
          np.conjugate(c[N - 2]) * np.sqrt((N - 1.0) * float(N))],
     ])
     # Interior-only contributions to <a> and <a^2>: c_n and c_N are still zero.
-    rhs = -np.array(ladder_moments(FockVector(c)), dtype=complex)
+    rhs = -np.array(index_sums(c)[:2], dtype=complex)
 
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     scale = np.max(np.abs(mat))
@@ -181,35 +179,6 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
     c[n] = np.conjugate((rhs[0] * mat[1, 1] - mat[0, 1] * rhs[1]) / det)
     c[N] = (mat[0, 0] * rhs[1] - rhs[0] * mat[1, 0]) / det
     # Zero amplitudes below the band are kept so level indices stay literal.
-    return _finish(c, dim)
-
-
-def solve_phi_n3(n: int, c1: complex, c2: complex, dim: int | None = None) -> PhiState:
-    """Closed-form seed on the minimal band |n> .. |n+3>.
-
-    c1 and c2 are the interior coefficients c_{n+1}, c_{n+2}. Degenerate when
-    |c1| = |c2| (unless one of them is zero jointly with the cross term).
-    """
-    n = require_int(n, "band start n", InvalidSpecError, minimum=0)
-    c1 = require_complex(c1, "c1", InvalidSpecError)
-    c2 = require_complex(c2, "c2", InvalidSpecError)
-    try:
-        delta = abs(c1) ** 2 - abs(c2) ** 2
-    except OverflowError:
-        raise InvalidSpecError(
-            f"|c1|^2 or |c2|^2 overflows: c1 = {c1}, c2 = {c2}") from None
-    cross = np.conjugate(c1) * c2
-    scale = max(abs(c1), abs(c2)) ** 2
-    if scale == 0.0 or abs(delta) < DEGENERATE_DET_TOL * scale:
-        raise DegenerateSpecError(
-            complex(delta), "minimal band is degenerate (|c_{n+1}| = |c_{n+2}|)"
-        )
-    c = np.zeros(n + 4, dtype=complex)
-    c[n] = np.conjugate(-cross * np.conjugate(c1) * np.sqrt(n + 2.0)
-                        / (delta * np.sqrt(n + 1.0)))
-    c[n + 1] = c1
-    c[n + 2] = c2
-    c[n + 3] = cross * c2 * np.sqrt(n + 2.0) / (delta * np.sqrt(n + 3.0))
     return _finish(c, dim)
 
 

@@ -302,14 +302,16 @@ def make_scs(alpha: complex, params: SqueezeParams,
     With dim None the cutoff is the first of 64, 128, ..., AUTO_DIM_MAX = 2**14
     at which the state resolves; a state that needs more (r above about 3.73
     at alpha = 0, or |alpha| above about 118 at r = 0) raises OutOfRangeError
-    unless dim is given.
+    unless dim is given. A given dim must be an integer of at least 2.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
 
     def build(dim):
         return displace(squeeze(number_state(0, dim), params), alpha)
 
-    return build(dim) if dim is not None else _auto_build(build, 64, params.r, alpha)
+    if dim is not None:
+        return build(require_int(dim, "dim", InvalidDimensionError, minimum=2))
+    return _auto_build(build, 64, params.r, alpha)
 
 
 def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
@@ -320,11 +322,12 @@ def make_sgcs(alpha: complex, params: SqueezeParams, phi: FockVector,
     <phi|a|phi> = 0 and <phi|a^2|phi> = 0; otherwise SeedConditionError.
     With dim None the cutoff is chosen as in make_scs, starting from the
     larger of 64 and phi's dim, and one above AUTO_DIM_MAX = 2**14 (or above
-    phi's dim if that is larger) raises OutOfRangeError.
+    phi's dim if that is larger) raises OutOfRangeError. A given dim must be
+    an integer of at least 2; one below phi's dim builds at phi's dim.
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     if dim is not None:
-        dim = require_int(dim, "dim", InvalidDimensionError)
+        dim = require_int(dim, "dim", InvalidDimensionError, minimum=2)
     from .gcs import require_seed
     require_seed(phi)
     seed = phi.normalized()

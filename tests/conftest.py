@@ -59,6 +59,27 @@ def ladder_moments_direct(amps: np.ndarray):
     return complex(a1) / norm2, complex(a2) / norm2
 
 
+def minimal_band_amps(n: int, c1: complex, c2: complex, dim: int) -> np.ndarray:
+    """Closed-form seed on the band |n> .. |n+3> with interior c_{n+1} = c1
+    and c_{n+2} = c2, zero-padded to dim.
+
+    With delta = |c1|^2 - |c2|^2 (nonzero), both ladder moments vanish for
+    c_n = -c1^2 conj(c2) sqrt((n+2)/(n+1)) / delta and
+    c_{n+3} = conj(c1) c2^2 sqrt((n+2)/(n+3)) / delta. The result is
+    normalized with its largest-magnitude entry real positive, the phase
+    convention of the package's band solver.
+    """
+    delta = abs(c1) ** 2 - abs(c2) ** 2
+    amps = np.zeros(dim, dtype=complex)
+    amps[n] = -c1 * c1 * np.conjugate(c2) * math.sqrt((n + 2) / (n + 1)) / delta
+    amps[n + 1] = c1
+    amps[n + 2] = c2
+    amps[n + 3] = np.conjugate(c1) * c2 * c2 * math.sqrt((n + 2) / (n + 3)) / delta
+    amps /= np.linalg.norm(amps)
+    pivot = amps[np.argmax(np.abs(amps))]
+    return amps * (np.conjugate(pivot) / abs(pivot))
+
+
 def dense_ladder(dim: int) -> np.ndarray:
     """Truncated annihilation matrix, a[m-1, m] = sqrt(m)."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
@@ -642,8 +663,8 @@ _ACCEPTANCE_RESULTS = {}
 
 
 def pytest_runtest_logreport(report):
-    if "test_acceptance" in report.nodeid and report.when == "call":
-        name = report.nodeid.split("::")[-1]
+    path, *_, name = report.nodeid.split("::")
+    if path.endswith("test_acceptance.py") and report.when == "call":
         _ACCEPTANCE_RESULTS[name] = report.outcome
 
 

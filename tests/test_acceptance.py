@@ -30,11 +30,12 @@ from contractive import (
     scs_predicted_moments,
     sgcs_predicted_moments,
     solve_phi,
-    solve_phi_n3,
     summarize,
 )
 from contractive.errors import DegenerateSpecError
-from contractive.gcs import ladder_moments
+from contractive.fock import index_sums
+
+from conftest import minimal_band_amps
 
 HBAR1 = PhysicalScales()
 
@@ -128,12 +129,12 @@ def test_criterion_3_band_solver_residuals():
         except DegenerateSpecError:
             continue
         solved += 1
-        first, second = ladder_moments(phi.state)
+        first, second = index_sums(phi.state.amps)[:2]
         assert abs(first) < 1e-10
         assert abs(second) < 1e-10
         if N == n + 3:
-            twin = solve_phi_n3(n, free[0], free[1])
-            assert np.max(np.abs(phi.state.amps - twin.state.amps)) < 1e-12
+            twin = minimal_band_amps(n, free[0], free[1], dim=N + 1)
+            assert np.max(np.abs(phi.state.amps - twin)) < 1e-12
             minimal_checked += 1
     assert minimal_checked >= 30
 

@@ -47,7 +47,6 @@ from contractive import (
     schrodinger_oracle,
     sgcs_predicted_moments,
     solve_phi,
-    solve_phi_n3,
     summarize,
 )
 from contractive.cli import main
@@ -95,10 +94,6 @@ ROWS = [
     (PhiSpec.from_json_dict, ("data", "n"), dict(data=_SPEC_JSON), NONNEG_INT),
     (PhiSpec.from_json_dict, ("data", "N"), dict(data=_SPEC_JSON), NONNEG_INT),
     (solve_phi, ("dim",), dict(spec=SPEC, dim=8), optional(NONNEG_INT)),
-    (solve_phi_n3, ("n",), dict(n=0, c1=1.0, c2=0.5), NONNEG_INT),
-    (solve_phi_n3, ("c1",), dict(n=0, c1=1.0, c2=0.5), COMPLEX),
-    (solve_phi_n3, ("c2",), dict(n=0, c1=1.0, c2=0.5), COMPLEX),
-    (solve_phi_n3, ("dim",), dict(n=0, c1=1.0, c2=0.5, dim=8), optional(NONNEG_INT)),
     (lattice_phi, ("weights",), dict(weights=[1.0, 0.5]), SEQUENCE + (-1, 2.5)),
     (lattice_phi, ("weights", 0), dict(weights=[1.0, 0.5]), NONNEG_REAL),
     (lattice_phi, ("dim",), dict(weights=[1.0, 0.5], dim=8), optional(NONNEG_INT)),
@@ -114,7 +109,7 @@ ROWS = [
     (make_scs, ("dim",), dict(alpha=0.1, params=PARAMS, dim=32), optional(NONNEG_INT)),
     (make_sgcs, ("alpha",), dict(alpha=0.1, params=PARAMS, phi=SEED), COMPLEX),
     (make_sgcs, ("dim",), dict(alpha=0.1, params=PARAMS, phi=SEED, dim=32),
-     optional(INT)),
+     optional(NONNEG_INT)),
     (extremal_fock, ("lam",), dict(lam=1.0), COMPLEX + (1j, -1)),
     (extremal_fock, ("mean_x",), dict(lam=1.0, mean_x=0.5), REAL),
     (extremal_fock, ("mean_p",), dict(lam=1.0, mean_p=0.5), REAL),
@@ -208,12 +203,14 @@ BELOW_MINIMUM = [
      "band spec n must be >= 0, got -1"),
     (PhiSpec, dict(n=1, N=3, free=(1.0,)), InvalidSpecError,
      "band spec N must be >= 4, got 3"),
-    (solve_phi_n3, dict(n=-1, c1=1.0, c2=0.5), InvalidSpecError,
-     "band start n must be >= 0, got -1"),
     (lattice_phi_for_nbar, dict(target=1.0, shells=0), InvalidSpecError,
      "shells must be >= 1, got 0"),
     (random_state, dict(dim=7, rng=np.random.default_rng(0)), InvalidDimensionError,
      "dim must be >= 8, got 7"),
+    (make_scs, dict(alpha=0.1, params=PARAMS, dim=1), InvalidDimensionError,
+     "dim must be >= 2, got 1"),
+    (make_sgcs, dict(alpha=0.1, params=PARAMS, phi=SEED, dim=1), InvalidDimensionError,
+     "dim must be >= 2, got 1"),
     (check_conjugation_identities, dict(_CONJUGATION, dim=31), InvalidDimensionError,
      "dim must be >= 32, got 31"),
     (check_overcompleteness, dict(_OVERCOMPLETE, budget=0), InvalidParameterError,
@@ -254,8 +251,6 @@ def test_cli_value_below_minimum_exits_2(argv, message, capsys):
 # or a CLI exit code with one "state under-resolved" line on stderr.
 OVERFLOWING = [
     pytest.param(lambda: safe_block(64, 400.0), 0, id="safe_block-r=400"),
-    pytest.param(lambda: solve_phi_n3(0, 1e200, 1.0), InvalidSpecError,
-                 id="solve_phi_n3-c1=1e200"),
     pytest.param(lambda: make_scs(0, SqueezeParams(r=400.0)), OutOfRangeError,
                  id="make_scs-auto-dim-r=400"),
     pytest.param(lambda: make_scs(0, SqueezeParams(r=20.0)), OutOfRangeError,

@@ -8,13 +8,15 @@ import contractive
 
 # Retired from the public API: moments come from ladder index sums, extremal
 # packets are squeezed coherent states, the identity check runs on the
-# state-building kernel, and the dense and position-grid test oracles live in
+# state-building kernel, solve_phi covers the minimal band, and the dense,
+# position-grid and minimal-band closed-form test oracles live in
 # tests/conftest.py.
 REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
            "CutoffReport", "cutoff_report",
            "GRID_POINTS", "GRID_SPAN", "default_grid", "hermite_basis",
            "wavefunction", "project_to_fock", "extremal_state",
-           "displacement_operator", "squeeze_operator"]
+           "displacement_operator", "squeeze_operator",
+           "solve_phi_n3", "ladder_moments"]
 
 
 def test_all_names_resolve():

@@ -19,12 +19,16 @@ from contractive import (
     lattice_phi_for_nbar,
     number_state,
     solve_phi,
-    solve_phi_n3,
     summarize,
 )
-from contractive.fock import index_sums, index_weights, ladder_moments
+from contractive.fock import index_sums, index_weights
 
-from conftest import coherent_amps, index_sums_reference, ladder_moments_direct
+from conftest import (
+    coherent_amps,
+    index_sums_reference,
+    ladder_moments_direct,
+    minimal_band_amps,
+)
 
 
 def test_spec_validation():
@@ -47,7 +51,7 @@ def test_spec_json_round_trip():
 def test_ladder_moments_match_direct_sums(rng):
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     state = FockVector(amps).normalized()
-    got = ladder_moments(state)
+    got = index_sums(state.amps)[:2]
     want = ladder_moments_direct(state.amps)
     assert abs(got[0] - want[0]) < 1e-12
     assert abs(got[1] - want[1]) < 1e-12
@@ -87,7 +91,7 @@ def test_number_states_are_seeds():
 def test_solve_minimal_band_example():
     # n = 0, N = 3, interior (1, 0.5): both residuals vanish by construction.
     phi = solve_phi(PhiSpec(n=0, N=3, free=(1.0, 0.5)))
-    first, second = ladder_moments(phi.state)
+    first, second = index_sums(phi.state.amps)[:2]
     assert abs(first) < 1e-12
     assert abs(second) < 1e-12
     assert abs(phi.state.norm() - 1.0) < 1e-14
@@ -109,13 +113,13 @@ def test_solve_matches_closed_form_minimal_band():
     for n in (0, 2, 5):
         c1, c2 = 0.8 - 0.3j, 0.4 + 0.6j
         a = solve_phi(PhiSpec(n=n, N=n + 3, free=(c1, c2)), dim=32)
-        b = solve_phi_n3(n, c1, c2, dim=32)
-        assert np.max(np.abs(a.state.amps - b.state.amps)) < 1e-12
-        assert abs(a.n_bar - b.n_bar) < 1e-12
+        b = minimal_band_amps(n, c1, c2, dim=32)
+        assert np.max(np.abs(a.state.amps - b)) < 1e-12
+        assert abs(a.n_bar - np.arange(32) @ np.abs(b) ** 2) < 1e-12
 
 
 def test_solve_n3_zero_cross_term_gives_number_state():
-    phi = solve_phi_n3(2, 1.0, 0.0, dim=16)
+    phi = solve_phi(PhiSpec(n=2, N=5, free=(1.0, 0.0)), dim=16)
     # c_{n+2} = 0 kills the coupling; the solved band collapses to |n+1>
     assert abs(abs(phi.state.amps[3]) - 1.0) < 1e-12
     assert abs(phi.n_bar - 3.0) < 1e-12
@@ -126,7 +130,7 @@ def test_solve_degenerate_raises():
     with pytest.raises(DegenerateSpecError):
         solve_phi(PhiSpec(n=0, N=3, free=(1.0, 1.0)))
     with pytest.raises(DegenerateSpecError):
-        solve_phi_n3(1, 0.5 + 0.5j, 0.5 - 0.5j)
+        solve_phi(PhiSpec(n=1, N=4, free=(0.5 + 0.5j, 0.5 - 0.5j)))
 
 
 def test_solve_random_bands(rng):
@@ -140,7 +144,7 @@ def test_solve_random_bands(rng):
             phi = solve_phi(PhiSpec(n=n, N=N, free=free))
         except DegenerateSpecError:
             continue
-        first, second = ladder_moments(phi.state)
+        first, second = index_sums(phi.state.amps)[:2]
         assert abs(first) < 1e-10
         assert abs(second) < 1e-10
         assert n <= phi.n_bar <= N
@@ -158,7 +162,7 @@ def test_lattice_two_shells():
     assert abs(amps[3] - 1 / math.sqrt(2)) < 1e-15
     assert np.all(amps[1:3] == 0)
     assert abs(phi.n_bar - 1.5) < 1e-14
-    first, second = ladder_moments(phi.state)
+    first, second = index_sums(phi.state.amps)[:2]
     assert first == 0
     assert second == 0
 
@@ -207,7 +211,7 @@ def test_lattice_weights_in_range_keep_their_bits(weights):
 @settings(max_examples=60, deadline=None)
 def test_lattice_seed_condition_always_holds(weights):
     phi = lattice_phi(tuple(weights))
-    first, second = ladder_moments(phi.state)
+    first, second = index_sums(phi.state.amps)[:2]
     # support on every third rung makes both sums empty, identically zero
     assert first == 0
     assert second == 0

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package or test module imports is read somewhere in that
+module, so an import of a retired name cannot linger in either tree.
 
 No linter ships with the package, so this parses each module with `ast`.
 A name read only in an annotation counts as read, string annotations
@@ -12,7 +13,13 @@ import pytest
 
 import contractive
 
-MODULES = sorted(Path(contractive.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(contractive.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("**/*.py"))
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else path.relative_to(TESTS.parent).as_posix()
 
 
 def _imported(tree: ast.AST) -> set[str]:
@@ -36,7 +43,7 @@ def _read(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(_imported(tree) - _read(tree)) == []
