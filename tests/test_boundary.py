@@ -91,6 +91,7 @@ ROWS = [
     (PhiSpec, ("N",), dict(n=0, N=3, free=(1.0, 0.5)), NONNEG_INT),
     (PhiSpec, ("free",), dict(n=0, N=3, free=(1.0, 0.5)), SEQUENCE + (-1, 2.5)),
     (PhiSpec, ("free", 0), dict(n=0, N=3, free=(1.0, 0.5)), COMPLEX),
+    (PhiSpec, ("free", 1), dict(n=0, N=3, free=(1.0, 0.5)), COMPLEX),
     (PhiSpec.from_json_dict, ("data", "n"), dict(data=_SPEC_JSON), NONNEG_INT),
     (PhiSpec.from_json_dict, ("data", "N"), dict(data=_SPEC_JSON), NONNEG_INT),
     (solve_phi, ("dim",), dict(spec=SPEC, dim=8), optional(NONNEG_INT)),

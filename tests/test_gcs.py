@@ -155,6 +155,15 @@ def test_solve_dim_too_small():
         solve_phi(PhiSpec(n=0, N=6, free=(1.0, 0.5, 0.25, 0.125, 0.1)), dim=4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_solve_dim_one_short_of_minimal_band_names_its_top_level(n):
+    spec = PhiSpec(n=n, N=n + 3, free=(1.0, 0.5))
+    with pytest.raises(InvalidSpecError) as info:
+        solve_phi(spec, dim=n + 3)
+    assert str(info.value) == f"dim {n + 3} cannot hold a band reaching level {n + 3}"
+    assert solve_phi(spec, dim=n + 4).state.dim == n + 4
+
+
 def test_lattice_two_shells():
     phi = lattice_phi((1.0, 1.0))
     amps = phi.state.amps

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contractive import (
     FockVector,
+    InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
     SeedConditionError,
@@ -258,6 +259,28 @@ def test_make_sgcs_rejects_coherent_seed():
     seed = FockVector(coherent_amps(0.5, 64))
     with pytest.raises(SeedConditionError):
         make_sgcs(0.0, SqueezeParams(r=0.2), seed, dim=128)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 63])
+def test_make_sgcs_dim_below_seed_builds_at_seed_dim(dim):
+    seed = lattice_phi([1, 1]).state.padded(64)
+    params = SqueezeParams(r=0.2)
+    state = make_sgcs(0.1, params, seed, dim=dim)
+    assert state.dim == 64
+    assert np.array_equal(state.amps, make_sgcs(0.1, params, seed, dim=64).amps)
+
+
+@pytest.mark.parametrize("builder", ["make_scs", "make_sgcs"])
+@pytest.mark.parametrize("dim", [-5, 0])
+def test_builders_reject_dim_below_two(builder, dim):
+    params = SqueezeParams(r=0.2)
+    seed = lattice_phi([1, 1]).state.padded(64)
+    with pytest.raises(InvalidDimensionError) as info:
+        if builder == "make_scs":
+            make_scs(0.1, params, dim=dim)
+        else:
+            make_sgcs(0.1, params, seed, dim=dim)
+    assert str(info.value) == f"dim must be >= 2, got {dim}"
 
 
 def test_sgcs_centered_bogoliubov_moments():
