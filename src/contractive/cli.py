@@ -183,8 +183,7 @@ def _band_spec_from_args(args: argparse.Namespace) -> gcs.PhiSpec:
 
 def _solve_from_args(args: argparse.Namespace, dim: int) -> gcs.PhiState:
     from . import gcs
-    spec = _band_spec_from_args(args)
-    return gcs.solve_phi(spec, dim=max(dim, spec.N + 1))
+    return gcs.solve_phi(_band_spec_from_args(args), dim=dim)
 
 
 def _build_sgcs(args: argparse.Namespace, dim: int) -> FockVector:

@@ -127,17 +127,11 @@ def _fix_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (np.conjugate(pivot) / abs(pivot))
 
 
-def _finish(amps: np.ndarray, dim: int | None) -> PhiState:
+def _finish(amps: np.ndarray, dim: int) -> PhiState:
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise TrivialStateError("solved coefficients are identically zero")
-    amps = _fix_phase(amps / norm)
-    dim = amps.size if dim is None else require_int(dim, "dim", InvalidSpecError)
-    if dim < amps.size:
-        raise InvalidSpecError(
-            f"dim {dim} cannot hold a band reaching level {amps.size - 1}"
-        )
-    state = FockVector(amps).padded(dim)
+    state = FockVector(_fix_phase(amps / norm)).padded(dim)
     first, second, n_bar = index_sums(state.amps)
     if abs(first) >= SOLVE_RESIDUAL_TOL or abs(second) >= SOLVE_RESIDUAL_TOL:
         raise DegenerateSpecError(
@@ -152,9 +146,13 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
 
     With the interior coefficients fixed, the two vanishing-moment conditions
     are linear in (conj(c_n), c_N); this solves that 2x2 system, normalizes,
-    and fixes the global phase (largest entry real positive).
+    and fixes the global phase (largest entry real positive). The seed comes
+    at cutoff dim, by default the band's own N + 1.
     """
     n, N = spec.n, spec.N
+    dim = N + 1 if dim is None else require_int(dim, "dim", InvalidSpecError)
+    if dim <= N:
+        raise InvalidSpecError(f"dim {dim} cannot hold a band reaching level {N}")
     c = np.zeros(N + 1, dtype=complex)
     c[n + 1:N] = spec.free
     # The conditions are homogeneous in c and _finish normalizes, so scaling
@@ -182,12 +180,13 @@ def solve_phi(spec: PhiSpec, dim: int | None = None) -> PhiState:
     return _finish(c, dim)
 
 
-def lattice_phi(weights, dim: int | None = None) -> PhiState:
+def lattice_phi(weights) -> PhiState:
     """Seed supported on every third level: sum_r sqrt(w_r) |3r>.
 
     Spacing three makes both ladder moments vanish identically, so any
     nonnegative weight vector works. n_bar ranges over [0, 3(s-1)] for s
-    weights.
+    weights. The seed comes at its own size, max(3(s-1) + 1, 2);
+    `state.padded(dim)` embeds it at a larger cutoff.
     """
     w = require_real_array(weights, "weights", InvalidSpecError)
     if w.ndim != 1 or w.size == 0:
@@ -204,19 +203,13 @@ def lattice_phi(weights, dim: int | None = None) -> PhiState:
         total = w.sum()
     if total <= 0:
         raise TrivialStateError("lattice weights sum to zero")
-    top = 3 * (w.size - 1)
-    size = max(top + 1, 2)
-    dim = size if dim is None else require_int(dim, "dim", InvalidSpecError)
-    if dim < size:
-        raise InvalidSpecError(f"dim {dim} cannot hold lattice level {top}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[0:top + 1:3] = np.sqrt(w / total)
+    amps = np.zeros(max(3 * (w.size - 1) + 1, 2), dtype=complex)
+    amps[::3] = np.sqrt(w / total)
     state = FockVector(amps)
     return PhiState(state=state, n_bar=index_sums(state.amps)[2])
 
 
-def lattice_phi_for_nbar(target: float, shells: int,
-                         dim: int | None = None) -> PhiState:
+def lattice_phi_for_nbar(target: float, shells: int) -> PhiState:
     """Lattice seed with mean photon number equal to a target.
 
     Mixes levels 0 and 3 * shells with weights (1-q, 0, .., 0, q), for which
@@ -234,4 +227,4 @@ def lattice_phi_for_nbar(target: float, shells: int,
     w = np.zeros(shells + 1)
     w[0] = 1.0 - q
     w[-1] = q
-    return lattice_phi(w, dim)
+    return lattice_phi(w)

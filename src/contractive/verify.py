@@ -176,11 +176,10 @@ def safe_block(dim: int, r: float) -> int:
 
 
 def check_conjugation_identities(alpha: complex, params: SqueezeParams,
-                                 dim: int = 128,
-                                 block: int | None = None) -> ConjugationReport:
+                                 dim: int = 128) -> ConjugationReport:
     """Residuals of the basic operator identities at a finite cutoff.
 
-    Checks, on the truncation-safe top-left block:
+    Checks, on the truncation-safe top-left block of `safe_block(dim, r)`:
       D(alpha)^dag a D(alpha) = a + alpha
       D(beta,b)^dag b D(beta,b) = b + beta   with b = mu a + nu a^dag,
                                              beta = mu alpha + nu conj(alpha)
@@ -190,10 +189,8 @@ def check_conjugation_identities(alpha: complex, params: SqueezeParams,
     """
     alpha = require_complex(alpha, "displacement alpha", InvalidParameterError)
     dim = require_int(dim, "dim", InvalidDimensionError, minimum=32)
-    if block is None:
-        block = safe_block(dim, params.r)
-    block = require_int(block, "block", InvalidDimensionError)
-    if not 2 <= block <= dim:
+    block = safe_block(dim, params.r)
+    if block < 2:
         raise InvalidDimensionError(
             f"no truncation-safe block at dim {dim} for r = {params.r}; "
             "increase dim"
@@ -452,7 +449,6 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
                            budget: int = OVERCOMPLETENESS_BUDGET,
                            method: str = "monte-carlo",
                            seed: int = 0,
-                           dim: int | None = None,
                            radius: float | None = None
                            ) -> OvercompletenessReport:
     """Estimate || (1/pi) integral d^2alpha |psi_alpha><psi_alpha| - 1 || on
@@ -463,18 +459,12 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     Gauss-Legendre radial nodes with a uniform angular rule that is exact
     for the finite trigonometric content of the integrand. A budget too
     small for a target accuracy is not an error; the achieved deviation is
-    simply reported.
+    simply reported. psi_0 = S(xi)|phi> is built at the cutoff
+    max(64, 4 probe_dim, 2 phi.dim).
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")
-    probe_dim = require_int(probe_dim, "probe_dim", InvalidDimensionError)
-    if dim is None:
-        dim = max(64, 4 * probe_dim, 2 * phi.dim)
-    dim = require_int(dim, "dim", InvalidDimensionError)
-    if probe_dim < 0 or probe_dim > dim // 4:
-        raise InvalidDimensionError(
-            f"probe_dim {probe_dim} must lie in [0, dim/4 = {dim // 4}]"
-        )
+    probe_dim = require_int(probe_dim, "probe_dim", InvalidDimensionError, minimum=0)
     budget = require_int(budget, "budget", InvalidParameterError, minimum=1)
     if method == "monte-carlo":
         seed = require_int(seed, "seed", InvalidParameterError, minimum=0)
@@ -490,7 +480,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             budget=0, seed=seed if method == "monte-carlo" else None,
             radius=0.0, grid_spec=None,
         )
-    chi = _seed_to_chi(phi, params, dim)
+    chi = _seed_to_chi(phi, params, max(64, 4 * probe_dim, 2 * phi.dim))
     n_bar_chi = index_sums(chi.amps)[2]
     if radius is None:
         # Tightest disk whose excluded probe-block mass stays below a tenth
@@ -543,10 +533,10 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
 # ---------------------------------------------------------------------------
 # Named suites used by the command-line verifier.
 
-def _sample_summaries(count: int, seed: int, dim: int = 64):
+def _sample_summaries(count: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        yield summarize(random_state(dim, rng))
+        yield summarize(random_state(64, rng))
 
 
 def suite_uncertainty(budget: int, seed: int) -> dict:

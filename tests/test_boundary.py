@@ -97,11 +97,8 @@ ROWS = [
     (solve_phi, ("dim",), dict(spec=SPEC, dim=8), optional(NONNEG_INT)),
     (lattice_phi, ("weights",), dict(weights=[1.0, 0.5]), SEQUENCE + (-1, 2.5)),
     (lattice_phi, ("weights", 0), dict(weights=[1.0, 0.5]), NONNEG_REAL),
-    (lattice_phi, ("dim",), dict(weights=[1.0, 0.5], dim=8), optional(NONNEG_INT)),
     (lattice_phi_for_nbar, ("target",), dict(target=1.0, shells=1), NONNEG_REAL),
     (lattice_phi_for_nbar, ("shells",), dict(target=1.0, shells=1), NONNEG_INT),
-    (lattice_phi_for_nbar, ("dim",), dict(target=1.0, shells=1, dim=8),
-     optional(NONNEG_INT)),
     (sgcs_predicted_moments, ("n_bar",), dict(n_bar=1.0, params=PARAMS), NONNEG_REAL),
     (SqueezeParams, ("r",), dict(r=0.1, theta=0.2), NONNEG_REAL),
     (SqueezeParams, ("theta",), dict(r=0.1, theta=0.2), REAL),
@@ -140,13 +137,9 @@ ROWS = [
     (safe_block, ("r",), dict(dim=64, r=0.1), REAL),
     (check_conjugation_identities, ("alpha",), _CONJUGATION, COMPLEX),
     (check_conjugation_identities, ("dim",), _CONJUGATION, NONNEG_INT),
-    (check_conjugation_identities, ("block",), dict(_CONJUGATION, block=8),
-     optional(NONNEG_INT)),
     (check_overcompleteness, ("probe_dim",), _OVERCOMPLETE, NONNEG_INT),
     (check_overcompleteness, ("budget",), _OVERCOMPLETE, NONNEG_INT),
     (check_overcompleteness, ("seed",), _OVERCOMPLETE, NONNEG_INT),
-    (check_overcompleteness, ("dim",), dict(_OVERCOMPLETE, dim=64),
-     optional(NONNEG_INT)),
     (check_overcompleteness, ("radius",), dict(_OVERCOMPLETE, radius=3.0),
      optional(NONNEG_REAL)),
     (check_overcompleteness, ("method",), _OVERCOMPLETE, NAME),
@@ -214,6 +207,8 @@ BELOW_MINIMUM = [
      "dim must be >= 2, got 1"),
     (check_conjugation_identities, dict(_CONJUGATION, dim=31), InvalidDimensionError,
      "dim must be >= 32, got 31"),
+    (check_overcompleteness, dict(_OVERCOMPLETE, probe_dim=-1), InvalidDimensionError,
+     "probe_dim must be >= 0, got -1"),
     (check_overcompleteness, dict(_OVERCOMPLETE, budget=0), InvalidParameterError,
      "budget must be >= 1, got 0"),
     (check_overcompleteness, dict(_OVERCOMPLETE, seed=-1), InvalidParameterError,

@@ -324,6 +324,39 @@ def test_sgcs_from_solved_seed_file(tmp_path, capsys):
     assert abs(payload["var_x"] - (n_bar + 0.5) * math.exp(-0.6)) < 1e-8
 
 
+# A band reaching level 20, past --dim 16.
+_WIDE_BAND = ["--low", "0", "--high", "20",
+              "--free=" + ",".join(["1", "0.5+0.2i"] + ["0"] * 15 + ["0.001", "0.0005i"])]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gcs", "solve"] + _WIDE_BAND, "dim 16 cannot hold a band reaching level 20"),
+    (["state", "build", "gcs-solve"] + _WIDE_BAND,
+     "dim 16 cannot hold a band reaching level 20"),
+    (["state", "build", "gcs-lattice", "--weights", "1,1,1,1,1,1,1"],
+     "cannot pad dim 19 down to 16"),
+], ids=["gcs-solve-command", "gcs-solve", "gcs-lattice"])
+def test_seed_past_dim_exits_2(tmp_path, capsys, argv, message):
+    # each seed kind builds at --dim or refuses; none switches cutoff
+    out_file = tmp_path / "seed.json"
+    code, out, err = run_cli(capsys, *argv, "--dim", "16", "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+def test_sgcs_builds_at_its_seed_dim_past_dim(tmp_path, capsys):
+    # make_sgcs's rule: a seed wider than --dim sets the cutoff
+    phi_file = tmp_path / "phi.json"
+    number_state(0, 40).dump(phi_file)
+    out_file = tmp_path / "sgcs.json"
+    code, _, _ = run_cli(capsys, "state", "build", "sgcs", "--phi", str(phi_file),
+                         "--dim", "16", "--out", str(out_file))
+    assert code == 0 and FockVector.load(out_file).dim == 40
+    code, out, err = run_cli(capsys, "state", "build", "sgcs", *_WIDE_BAND, "--dim", "16")
+    assert code == 1 and out == ""
+    assert err.startswith("error: state under-resolved at dim=21:")
+
+
 def test_sgcs_requires_single_seed_source(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "state", "build", "sgcs", "--alpha", "0.5", "--r", "0.3",

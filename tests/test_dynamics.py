@@ -82,8 +82,8 @@ def test_oscillator_accepts_numpy_omega():
 
 
 def test_gcs_oscillator_time_independent():
-    phi = lattice_phi((1.0, 1.0), dim=16)
-    summary = summarize(phi.state)
+    phi = lattice_phi((1.0, 1.0))
+    summary = summarize(phi.state.padded(16))
     times = np.linspace(0.0, 4 * math.pi, 81)
     trace = evolve_oscillator(summary, 1.0, times)
     assert np.max(np.abs(trace.var_x - (phi.n_bar + 0.5))) < 1e-12

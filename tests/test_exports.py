@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -18,6 +19,12 @@ REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
            "displacement_operator", "squeeze_operator",
            "solve_phi_n3", "ladder_moments"]
 
+# Retired keyword arguments: each value follows from the other inputs, and
+# FockVector.padded embeds a seed at a larger cutoff.
+REMOVED_PARAMETERS = [("lattice_phi", "dim"), ("lattice_phi_for_nbar", "dim"),
+                      ("check_overcompleteness", "dim"),
+                      ("check_conjugation_identities", "block")]
+
 
 def test_all_names_resolve():
     missing = [name for name in contractive.__all__ if not hasattr(contractive, name)]
@@ -31,6 +38,11 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in contractive.__all__
         assert not hasattr(contractive, name), name
+
+
+def test_removed_parameters_are_gone():
+    for name, parameter in REMOVED_PARAMETERS:
+        assert parameter not in inspect.signature(getattr(contractive, name)).parameters
 
 
 def test_each_name_is_its_home_module_object():

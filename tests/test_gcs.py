@@ -176,6 +176,16 @@ def test_lattice_two_shells():
     assert second == 0
 
 
+def test_lattice_seed_comes_at_its_own_size():
+    # s weights reach level 3(s - 1); one weight still gives dim 2
+    for s in range(1, 6):
+        assert lattice_phi(np.ones(s)).state.dim == max(3 * (s - 1) + 1, 2)
+    for shells in (1, 2, 4):
+        assert lattice_phi_for_nbar(1.0, shells).state.dim == 3 * shells + 1
+    plain = lattice_phi((1.0, 1.0)).state
+    assert np.array_equal(plain.padded(64).amps[:4], plain.amps)
+
+
 def test_lattice_single_shell_is_vacuum():
     phi = lattice_phi((1.0,))
     assert abs(abs(phi.state.amps[0]) - 1.0) < 1e-15
@@ -270,13 +280,13 @@ def test_displaced_seed_variance_theorem(rng):
     # Displacing any seed leaves var_x = var_p = n_bar + 1/2 and cov = 0
     # at every alpha; this is the defining property the solver targets.
     seeds = [
-        lattice_phi((1.0, 1.0), dim=128),
-        solve_phi(PhiSpec(n=1, N=6, free=(0.9, -0.4 + 0.2j, 0.3, 0.7j)), dim=128),
+        lattice_phi((1.0, 1.0)),
+        solve_phi(PhiSpec(n=1, N=6, free=(0.9, -0.4 + 0.2j, 0.3, 0.7j))),
     ]
     for phi in seeds:
         for _ in range(6):
             alpha = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-            moved = displace(phi.state, alpha)
+            moved = displace(phi.state.padded(128), alpha)
             got = summarize(moved)
             assert abs(got.var_x - (phi.n_bar + 0.5)) < 1e-9
             assert abs(got.var_p - (phi.n_bar + 0.5)) < 1e-9

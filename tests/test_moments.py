@@ -131,8 +131,8 @@ def test_summarize_matches_predictions():
     rng = np.random.default_rng(11)
     seeds = [
         (0.0, number_state(0, 64)),
-        (1.5, lattice_phi((1.0, 1.0), dim=64).state),
-        (3.0, lattice_phi((1.0, 0.0, 1.0), dim=64).state),
+        (1.5, lattice_phi((1.0, 1.0)).state.padded(64)),
+        (3.0, lattice_phi((1.0, 0.0, 1.0)).state.padded(64)),
     ]
     for _ in range(4):
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -163,7 +163,7 @@ def test_classify_families():
     assert scs.is_extremal
     assert not scs.is_gcs
 
-    gcs = classify(summarize(lattice_phi((1.0, 1.0), dim=32).state))
+    gcs = classify(summarize(lattice_phi((1.0, 1.0)).state.padded(32)))
     assert gcs.is_gcs
     assert not gcs.is_squeezed
     assert not gcs.is_contractive

@@ -76,11 +76,10 @@ def test_conjugation_residual_shrinks_with_dim():
     assert worst[0] < 1e-4
 
 
-def test_conjugation_block_override():
-    report = check_conjugation_identities(
-        0.5, SqueezeParams(r=0.3), dim=64, block=8
-    )
-    assert report.block == 8
+@pytest.mark.parametrize("dim, r", [(32, 0.0), (64, 0.3), (96, 1.2), (128, 0.7)])
+def test_conjugation_block_is_safe_block(dim, r):
+    report = check_conjugation_identities(0.5, SqueezeParams(r=r), dim=dim)
+    assert report.block == safe_block(dim, r)
 
 
 def test_conjugation_requires_safe_block():
@@ -152,7 +151,7 @@ def test_audit_extremal_families():
 
 
 def test_audit_extremal_rejects_generic_states():
-    phi = lattice_phi((1.0, 1.0), dim=64).state
+    phi = lattice_phi((1.0, 1.0)).state.padded(64)
     sgcs = make_sgcs(0.3, SqueezeParams(r=0.4, theta=1.0), phi, dim=128)
     audit = audit_extremal(sgcs)
     # n_bar > 0 seeds sit strictly above the saturating family
@@ -415,7 +414,7 @@ def test_overcompleteness_argument_validation():
     with pytest.raises(InvalidParameterError):
         check_overcompleteness(phi, SqueezeParams(r=0.0), budget=0)
     with pytest.raises(InvalidDimensionError):
-        check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=40, dim=64)
+        check_overcompleteness(phi, SqueezeParams(r=0.0), probe_dim=-1)
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "grid"])
@@ -452,9 +451,6 @@ def test_overcompleteness_rejects_malformed_arguments():
     for probe_dim in (2.5, True, "2"):
         with pytest.raises(InvalidDimensionError):
             check_overcompleteness(phi, params, probe_dim=probe_dim, budget=100)
-    for dim in (100.5, True):
-        with pytest.raises(InvalidDimensionError):
-            check_overcompleteness(phi, params, probe_dim=2, budget=100, dim=dim)
     for seed in (-1, 1.5, True):
         with pytest.raises(InvalidParameterError):
             check_overcompleteness(phi, params, probe_dim=2, budget=100, seed=seed)
@@ -467,8 +463,8 @@ def test_overcompleteness_rejects_malformed_arguments():
 def test_overcompleteness_accepts_numpy_integers():
     phi, params = number_state(0, 16), SqueezeParams(r=0.0)
     report = check_overcompleteness(phi, params, probe_dim=np.int64(3), budget=200,
-                                    seed=np.int64(4), dim=np.int32(64))
-    want = check_overcompleteness(phi, params, probe_dim=3, budget=200, seed=4, dim=64)
+                                    seed=np.int64(4))
+    want = check_overcompleteness(phi, params, probe_dim=3, budget=200, seed=4)
     assert report == want
     assert type(report.probe_dim) is int and type(report.seed) is int
     json.dumps(report.to_json_dict())
@@ -523,11 +519,10 @@ def test_conjugation_dim_floor():
         check_conjugation_identities(0.0, SqueezeParams(r=0.0), dim=16)
 
 
-@pytest.mark.parametrize("dim,block", [(128.5, None), (True, None), ("128", None),
-                                       (128, 4.5), (128, True)])
-def test_conjugation_rejects_non_integer_dim_or_block(dim, block):
+@pytest.mark.parametrize("dim", [128.5, True, "128"])
+def test_conjugation_rejects_non_integer_dim(dim):
     with pytest.raises(InvalidDimensionError):
-        check_conjugation_identities(0.1, SqueezeParams(r=0.1), dim=dim, block=block)
+        check_conjugation_identities(0.1, SqueezeParams(r=0.1), dim=dim)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)])
