@@ -69,7 +69,9 @@ class FockVector:
         return self.amps.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # numpy's pairwise sum, on one thread: np.linalg.norm is BLAS ddot,
+        # whose bits change with the thread count above about 10^4 levels
+        return float(np.sqrt(np.add.reduce(np.square(self.amps.view(float)))))
 
     def normalized(self) -> "FockVector":
         n = self.norm()

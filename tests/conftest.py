@@ -301,8 +301,12 @@ def index_sums_reference(c: np.ndarray):
 def summarize_reference(amps: np.ndarray):
     """(var_x, var_p, cov, n_bar) by the path `summarize` took before it
     stopped building a normalized copy of the state: normalize, then
-    `index_sums_reference`."""
-    c = np.asarray(amps, dtype=complex) / float(np.linalg.norm(amps))
+    `index_sums_reference`. The norm is the root of numpy's pairwise sum
+    of the squared real and imaginary parts, in memory order (BLAS would
+    change its bits with the thread count)."""
+    amps = np.asarray(amps, dtype=complex)
+    parts = np.stack([amps.real, amps.imag], axis=-1).ravel()
+    c = amps / float(np.sqrt(np.sum(parts * parts)))
     first, second, n_bar = index_sums_reference(c)
     mean_x = math.sqrt(2.0) * first.real
     mean_p = math.sqrt(2.0) * first.imag

@@ -6,9 +6,11 @@
 
 Each case is one `contractive` argv, run in order in one scratch directory
 (the README examples read files that earlier ones write). A case stores its
-exit code, its stdout and the text of the file its `--out` names.
-tests/test_golden.py reruns the corpus with a float tolerance. This script
-is the only way the corpus changes: never edit corpus.json by hand.
+exit code, its stdout and the text of the file its `--out` names. The
+corpus also records the machine that wrote it (`machine()`).
+tests/test_golden.py reruns the corpus: byte for byte on a machine that
+matches the record, elsewhere with a float tolerance. This script is the
+only way the corpus changes: never edit corpus.json by hand.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "corpus.json"
@@ -54,6 +58,23 @@ ARGVS = [
     "sweep --kind scs --alpha 1-0.5i --r 0.3,0.8 --theta 0,2 --dim 256",
     "sweep --kind sgcs --alpha 0.5+0i --r 0.1,0.4 --theta 0,1.2 --nbar 0.5,2 --dim 128",
 ]
+
+
+def cpu_dispatch_features() -> list[str]:
+    """The SIMD dispatch targets numpy was built with that this CPU runs
+    (NPY_DISABLE_CPU_FEATURES switches them off), lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def machine() -> dict:
+    """What the corpus bytes depend on besides the code: the numpy version,
+    the SIMD features its kernels dispatch to, and the CPU count."""
+    return {"numpy": np.__version__, "cpu_features": cpu_dispatch_features(),
+            "cpu_count": os.cpu_count()}
 
 
 def out_path(argv: list[str]) -> str | None:
@@ -94,10 +115,14 @@ def main() -> int:
 
     cases = run_corpus(cli_main, [text.split() for text in ARGVS])
     if "--check" not in sys.argv[1:]:
-        CORPUS.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
+        CORPUS.write_text(json.dumps({"cases": cases, "machine": machine()},
+                                     indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(cases)} cases to {CORPUS}")
         return 0
-    stored = json.loads(CORPUS.read_text())["cases"]
+    corpus = json.loads(CORPUS.read_text())
+    if corpus.get("machine") != machine():
+        print(f"note: corpus written on {corpus.get('machine')}, this is {machine()}")
+    stored = corpus["cases"]
     bad = [" ".join(got["argv"]) for got, want in zip(cases, stored) if got != want]
     if len(cases) != len(stored):
         bad.append(f"case count {len(cases)} != stored {len(stored)}")

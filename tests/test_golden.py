@@ -1,10 +1,11 @@
 """CLI output against the golden corpus in tests/golden/corpus.json.
 
 The corpus pins what every `state build` kind, `gcs solve`, each `verify`
-suite, `sweep` and the README examples print. Strings, bools, ints, exit
-codes and non-numeric CSV fields must match exactly; floats within
-FLOAT_RTOL relative plus FLOAT_ATOL absolute, so the corpus holds across
-machines and numpy builds. Regenerate it only with
+suite, `sweep` and the README examples print. On the machine the corpus
+records (numpy version, SIMD dispatch features, CPU count) every byte must
+match. Elsewhere strings, bools, ints, exit codes and non-numeric CSV fields
+must match exactly; floats within FLOAT_RTOL relative plus FLOAT_ATOL
+absolute, so the corpus holds across machines and numpy builds. Regenerate it only with
 `python tests/golden/regenerate.py`, never by hand, and never widen the
 tolerance to make a run pass.
 """
@@ -17,9 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import contractive
+from contractive import FockVector
 from contractive.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -47,7 +50,8 @@ def _load_regenerate():
 
 
 REGENERATE = _load_regenerate()
-CASES = json.loads(REGENERATE.CORPUS.read_text())["cases"]
+CORPUS = json.loads(REGENERATE.CORPUS.read_text())
+CASES = CORPUS["cases"]
 
 
 def _close(got: float, want: float) -> bool:
@@ -155,19 +159,23 @@ def test_comparison_tolerates_rounding_only():
         assert _text_mismatches(bad, want), bad
 
 
+def test_corpus_records_its_machine():
+    assert set(CORPUS["machine"]) == set(REGENERATE.machine())
+
+
 def test_cli_output_matches_golden_corpus():
     got = REGENERATE.run_corpus(main, [case["argv"] for case in CASES])
-    assert _corpus_mismatches(got, CASES) == []
+    if CORPUS["machine"] == REGENERATE.machine():
+        assert [" ".join(g["argv"]) for g, w in zip(got, CASES, strict=True)
+                if g != w] == []
+    else:
+        assert _corpus_mismatches(got, CASES) == []
 
 
 def _lower_simd_levels() -> list[str]:
     """NPY_DISABLE_CPU_FEATURES values, one per dispatch level below the
     highest this machine and numpy build support, highest first."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    supported = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    supported = REGENERATE.cpu_dispatch_features()
     return [" ".join(supported[i:]) for i in range(len(supported) - 1, -1, -1)]
 
 
@@ -217,18 +225,24 @@ BLAS_ARGVS = [
 ]
 
 
-def test_cli_output_identical_across_blas_thread_counts():
+def test_cli_output_identical_across_blas_thread_counts(tmp_path):
     # stdout must not depend on how many threads OpenBLAS splits its work
-    # over; on a one-CPU machine both runs use one thread and agree trivially
+    # over; on a one-CPU machine both runs use one thread and agree trivially.
+    # A dim-16384 state (Gaussian envelope of width 3000, resolved) is long
+    # enough for OpenBLAS to thread a reduction over its amplitudes.
+    wide = tmp_path / "wide.json"
+    rng = np.random.default_rng(0)
+    envelope = np.exp(-0.5 * (np.arange(16384) / 3000.0) ** 2)
+    FockVector(envelope * np.exp(2j * np.pi * rng.random(16384))).dump(wide)
     root = str(Path(contractive.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    for argv in BLAS_ARGVS:
+    for argv in [text.split() for text in BLAS_ARGVS] + [["state", "moments", str(wide)]]:
         outputs = []
         for threads in (None, "1"):
             run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "contractive.cli", *argv.split()],
+            proc = subprocess.run([sys.executable, "-m", "contractive.cli", *argv],
                                   capture_output=True, timeout=60, env=run_env)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
