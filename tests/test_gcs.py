@@ -182,8 +182,6 @@ def test_lattice_seed_comes_at_its_own_size():
         assert lattice_phi(np.ones(s)).state.dim == max(3 * (s - 1) + 1, 2)
     for shells in (1, 2, 4):
         assert lattice_phi_for_nbar(1.0, shells).state.dim == 3 * shells + 1
-    plain = lattice_phi((1.0, 1.0)).state
-    assert np.array_equal(plain.padded(64).amps[:4], plain.amps)
 
 
 def test_lattice_single_shell_is_vacuum():

@@ -159,10 +159,6 @@ def test_comparison_tolerates_rounding_only():
         assert _text_mismatches(bad, want), bad
 
 
-def test_corpus_records_its_machine():
-    assert set(CORPUS["machine"]) == set(REGENERATE.machine())
-
-
 def test_cli_output_matches_golden_corpus():
     got = REGENERATE.run_corpus(main, [case["argv"] for case in CASES])
     if CORPUS["machine"] == REGENERATE.machine():

@@ -76,12 +76,6 @@ def test_conjugation_residual_shrinks_with_dim():
     assert worst[0] < 1e-4
 
 
-@pytest.mark.parametrize("dim, r", [(32, 0.0), (64, 0.3), (96, 1.2), (128, 0.7)])
-def test_conjugation_block_is_safe_block(dim, r):
-    report = check_conjugation_identities(0.5, SqueezeParams(r=r), dim=dim)
-    assert report.block == safe_block(dim, r)
-
-
 def test_conjugation_requires_safe_block():
     with pytest.raises(InvalidDimensionError):
         check_conjugation_identities(0.5, SqueezeParams(r=2.5), dim=32)
