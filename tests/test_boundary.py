@@ -199,6 +199,9 @@ BELOW_MINIMUM = [
      "band spec N must be >= 4, got 3"),
     (lattice_phi_for_nbar, dict(target=1.0, shells=0), InvalidSpecError,
      "shells must be >= 1, got 0"),
+    (solve_phi, dict(spec=SPEC, dim=3), InvalidSpecError,
+     "dim 3 cannot hold a band reaching level 3"),
+    (SEED.padded, dict(dim=3), InvalidDimensionError, "cannot pad dim 4 down to 3"),
     (random_state, dict(dim=7, rng=np.random.default_rng(0)), InvalidDimensionError,
      "dim must be >= 8, got 7"),
     (make_scs, dict(alpha=0.1, params=PARAMS, dim=1), InvalidDimensionError,

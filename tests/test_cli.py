@@ -344,6 +344,19 @@ def test_seed_past_dim_exits_2(tmp_path, capsys, argv, message):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gcs", "solve", "--low", "0", "--high", "15",
+     "--free=1,0.5,0,0,0,0,0,0,0,0,0,0,0,0.001"],
+    ["state", "build", "gcs-lattice", "--weights", "1,1,1,1,1,1e-12"],
+], ids=["gcs-solve-command", "gcs-lattice"])
+def test_seed_reaching_top_level_builds_at_dim(tmp_path, capsys, argv):
+    # a seed whose top level is dim - 1 fits --dim exactly
+    out_file = tmp_path / "seed.json"
+    code, _, err = run_cli(capsys, *argv, "--dim", "16", "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert FockVector.load(out_file).dim == 16
+
+
 def test_sgcs_builds_at_its_seed_dim_past_dim(tmp_path, capsys):
     # make_sgcs's rule: a seed wider than --dim sets the cutoff
     phi_file = tmp_path / "phi.json"

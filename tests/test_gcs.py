@@ -155,6 +155,20 @@ def test_solve_dim_too_small():
         solve_phi(PhiSpec(n=0, N=6, free=(1.0, 0.5, 0.25, 0.125, 0.1)), dim=4)
 
 
+@pytest.mark.parametrize("spec", [
+    PhiSpec(n=0, N=3, free=(1.0, 0.5)),
+    PhiSpec(n=1, N=6, free=(0.9, -0.4 + 0.2j, 0.3, 0.7j)),
+], ids=["minimal", "wide"])
+@pytest.mark.parametrize("extra", [0, 1, 9, 60])
+def test_solve_at_dim_is_own_size_seed_padded(spec, extra):
+    # a seed solved at a larger cutoff is the band-sized seed, zero-padded
+    dim = spec.N + 1 + extra
+    got = solve_phi(spec, dim=dim)
+    want = solve_phi(spec)
+    assert np.array_equal(got.state.amps, want.state.padded(dim).amps)
+    assert got.n_bar == want.n_bar
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_solve_dim_one_short_of_minimal_band_names_its_top_level(n):
     spec = PhiSpec(n=n, N=n + 3, free=(1.0, 0.5))
@@ -176,12 +190,34 @@ def test_lattice_two_shells():
     assert second == 0
 
 
-def test_lattice_seed_comes_at_its_own_size():
+@pytest.mark.parametrize("s", range(1, 9))
+def test_lattice_seed_comes_at_its_own_size(s):
     # s weights reach level 3(s - 1); one weight still gives dim 2
-    for s in range(1, 6):
-        assert lattice_phi(np.ones(s)).state.dim == max(3 * (s - 1) + 1, 2)
-    for shells in (1, 2, 4):
-        assert lattice_phi_for_nbar(1.0, shells).state.dim == 3 * shells + 1
+    assert lattice_phi(np.ones(s)).state.dim == max(3 * (s - 1) + 1, 2)
+
+
+@pytest.mark.parametrize("shells", [1, 2, 3, 4, 6])
+def test_lattice_for_nbar_seed_comes_at_its_own_size(shells):
+    phi = lattice_phi_for_nbar(1.0, shells)
+    assert phi.state.dim == 3 * shells + 1
+    assert abs(phi.state.amps[-1]) > 0.0
+
+
+@pytest.mark.parametrize("weights, dim", [
+    ((1.0,), 2), ((1.0,), 16),
+    ((1.0, 1.0), 4), ((1.0, 1.0), 5), ((1.0, 1.0), 16), ((1.0, 1.0), 128),
+    ((0.2, 0.3, 0.5), 7), ((0.2, 0.3, 0.5), 64),
+])
+def test_padded_lattice_seed_keeps_its_amplitudes(weights, dim):
+    # padding is the one route to a larger cutoff: the seed's amplitudes
+    # keep their bits, the new levels are empty and both moments still vanish
+    phi = lattice_phi(weights)
+    padded = phi.state.padded(dim)
+    assert padded.dim == dim
+    assert np.array_equal(padded.amps[:phi.state.dim], phi.state.amps)
+    assert not padded.amps[phi.state.dim:].any()
+    assert index_sums(padded.amps) == index_sums(phi.state.amps)
+    assert check_phi(padded).ok
 
 
 def test_lattice_single_shell_is_vacuum():

@@ -81,6 +81,27 @@ def test_conjugation_requires_safe_block():
         check_conjugation_identities(0.5, SqueezeParams(r=2.5), dim=32)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("dim", [32, 64, 128])
+def test_conjugation_block_is_safe_block(dim, r):
+    report = check_conjugation_identities(0.5, SqueezeParams(r=r), dim=dim)
+    assert (report.dim, report.block) == (dim, safe_block(dim, r))
+
+
+# (dim, r) where safe_block is 1 (refused) or 2 (the smallest block checked)
+@pytest.mark.parametrize("dim, r, block", [(64, 1.5, 1), (128, 2.0, 1),
+                                           (64, 1.3, 2), (128, 1.7, 2)])
+def test_conjugation_block_floor_is_2(dim, r, block):
+    assert safe_block(dim, r) == block
+    if block < 2:
+        with pytest.raises(InvalidDimensionError) as info:
+            check_conjugation_identities(0.5, SqueezeParams(r=r), dim=dim)
+        assert str(info.value) == (f"no truncation-safe block at dim {dim} "
+                                   f"for r = {r}; increase dim")
+    else:
+        assert check_conjugation_identities(0.5, SqueezeParams(r=r), dim=dim).block == 2
+
+
 # the identities suite's three cases, then seeded random draws
 _IDENTITY_CASES = [
     (1.0 + 0.5j, 0.7, 1.1, 128),
@@ -369,6 +390,17 @@ def test_overcompleteness_grid_near_exact():
     assert report.method == "grid"
     assert report.grid_spec is not None
     assert report.seed is None
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3])
+@pytest.mark.parametrize("probe_dim", [16, 17, 40])
+def test_overcompleteness_probe_wider_than_the_seed(probe_dim, r):
+    # chi is squeezed at max(64, 4 probe_dim, 2 phi.dim), so a probe block
+    # wider than a quarter of 64 needs no cutoff from the caller
+    report = check_overcompleteness(number_state(0, 16), SqueezeParams(r=r),
+                                    probe_dim=probe_dim, budget=20_000, method="grid")
+    assert report.probe_dim == probe_dim
+    assert report.max_abs_deviation < 5e-4
 
 
 def test_overcompleteness_default_radius_bounds_excluded_mass():
