@@ -26,6 +26,7 @@ from . import moments
 from .errors import (
     ContractiveError,
     InvalidParameterError,
+    InvalidSpecError,
     NotContractiveError,
     OutOfRangeError,
     UsageError,
@@ -368,6 +369,15 @@ def _build_scs(args: argparse.Namespace, dim: int) -> FockVector:
     return make_scs(args.alpha, _squeeze_params(args), dim=dim)
 
 
+def _build_lattice(args: argparse.Namespace, dim: int) -> FockVector:
+    seed = _lattice_from_args(args).state
+    if dim < seed.dim:
+        # named like the band seeds' refusal, by the top level, not the size
+        raise InvalidSpecError(
+            f"dim {dim} cannot hold a lattice reaching level {seed.dim - 1}")
+    return seed.padded(dim)
+
+
 def _build_extremal(args: argparse.Namespace, dim: int) -> FockVector:
     from .states import extremal_fock
     return extremal_fock(args.lam, args.mean_x, args.mean_p, dim=dim)
@@ -380,8 +390,7 @@ _KINDS = {
     "coherent": (_build_coherent, ("alpha",)),
     "displaced-number": (_build_displaced_number, ("n", "alpha")),
     "scs": (_build_scs, _SQUEEZE),
-    "gcs-lattice": (lambda args, dim: _lattice_from_args(args).state.padded(dim),
-                    _LATTICE),
+    "gcs-lattice": (_build_lattice, _LATTICE),
     "gcs-solve": (lambda args, dim: _solve_from_args(args, dim).state, _BAND_SPEC),
     "sgcs": (_build_sgcs, _SQUEEZE + _LATTICE + ("phi",) + _BAND_SPEC),
     "extremal": (_build_extremal, ("lam", "mean_x", "mean_p")),

@@ -52,6 +52,23 @@ with a column per offset (`displaced_block_factored`,
 in one exponential per element (`displaced_block_powers`,
 `displaced_block_reference`, `radial_marginal_reference`).
 
+The grid method never forms a point. Its rule is n_rad Gauss-Legendre radii
+times n_ang > 2 (top + probe_dim) uniform angles, and over those angles the
+mean of u^((j - m) - (k - m')) is 1 when m - j = m' - k and 0 otherwise,
+so every cross term between offsets cancels and the angular sum is done in
+closed form: `_grid_gram` evaluates the radial elements once per radius
+into A[j, l, r] = s R chi_m (l = m - j) and sums
+gram[j, k] = 2 sum_r w_r sum_l A[j, l, r] conj(A[k, l, r]) with an einsum,
+which calls no BLAS. It is the point grid's rule evaluated exactly; the
+retired point grid stays in tests/conftest.py (`grid_gram_points`) and
+bounds it at 1e-13.
+
+chi = S(xi)|phi> and its disk radius depend only on the seed, (r, theta)
+and probe_dim, so `_probe_family` keeps the last eight families, keyed on
+the bytes of the seed's amplitudes and of (r, theta) (0.0 and -0.0 compare
+equal but are different inputs). The radius is searched on first use, so a
+caller's radius skips the search.
+
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
 the truncation-safe block at once: a and the truncated a^dag are index
@@ -62,6 +79,7 @@ columns is the residual the check reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -444,6 +462,61 @@ def choose_radius(chi: np.ndarray, probe_dim: int,
     return float(rho[good[0]])
 
 
+class _ProbeFamily:
+    """chi = S(xi)|phi> at the cutoff max(64, 4 probe_dim, 2 phi.dim), and
+    its disk radius, searched on first use."""
+
+    def __init__(self, phi: FockVector, params: SqueezeParams, probe_dim: int):
+        self.chi = _seed_to_chi(phi, params, max(64, 4 * probe_dim, 2 * phi.dim))
+        self.probe_dim = probe_dim
+        self.r = params.r
+
+    @functools.cached_property
+    def radius(self) -> float:
+        # Tightest disk whose excluded probe-block mass stays below a tenth
+        # of the deviation target; the closed formula is the safety cap.
+        cap = radius_cap(self.probe_dim, index_sums(self.chi.amps)[2], self.r)
+        return choose_radius(self.chi.amps, self.probe_dim,
+                             0.1 * OVERCOMPLETENESS_TARGET, cap)
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_family(seed: bytes, squeeze_params: bytes, probe_dim: int) -> _ProbeFamily:
+    """The family of a seed's complex amplitudes and of (r, theta), each
+    given as its float64 bytes: 0.0 and -0.0 compare equal but are different
+    inputs, and so are different keys."""
+    r, theta = np.frombuffer(squeeze_params).tolist()
+    phi = FockVector(np.frombuffer(seed, dtype=complex))
+    return _ProbeFamily(phi, SqueezeParams(r=r, theta=theta), probe_dim)
+
+
+def _family_of(phi: FockVector, params: SqueezeParams, probe_dim: int) -> _ProbeFamily:
+    return _probe_family(phi.amps.tobytes(),
+                         np.array([params.r, params.theta]).tobytes(), probe_dim)
+
+
+def _grid_gram(chi: np.ndarray, radius: float, probe_dim: int, budget: int):
+    """(gram, n_rad, n_ang) of the disk grid, n_rad Gauss-Legendre radii
+    times n_ang uniform angles, with the angular sum in closed form (see the
+    module docstring): each point's weight (1/pi) (2 pi / n_ang) rho d rho
+    summed over the angles leaves 2 w_r, w_r = rho d rho."""
+    schedule = _schedule(chi, probe_dim)
+    top = schedule[0][-1]
+    n_ang = 2 * (top + probe_dim) + 9
+    n_rad = max(64, min(512, budget // n_ang))
+    nodes, weights = np.polynomial.legendre.leggauss(n_rad)
+    rho = 0.5 * radius * (nodes + 1.0)
+    w_rad = 0.5 * radius * weights * rho          # rho d rho
+    amps = np.zeros((probe_dim, top + probe_dim, n_rad), dtype=complex)
+    for j, m, radial in _radial_elements(rho, probe_dim, schedule):
+        s = -1.0 if m >= j and (m - j) % 2 else 1.0
+        amps[j, m - j + probe_dim - 1] = (s * chi[m]) * radial
+    # einsum without optimize calls no BLAS, so the sum's bits do not depend
+    # on the thread count
+    gram = 2.0 * np.einsum("jlr,klr,r->jk", amps, amps.conj(), w_rad)
+    return gram, n_rad, n_ang
+
+
 def check_overcompleteness(phi: FockVector, params: SqueezeParams,
                            probe_dim: int = 6,
                            budget: int = OVERCOMPLETENESS_BUDGET,
@@ -457,10 +530,13 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     Monte Carlo samples alpha uniformly on a disk (importance weight
     R^2 per sample for the 1/pi measure); the grid method combines
     Gauss-Legendre radial nodes with a uniform angular rule that is exact
-    for the finite trigonometric content of the integrand. A budget too
-    small for a target accuracy is not an error; the achieved deviation is
-    simply reported. psi_0 = S(xi)|phi> is built at the cutoff
-    max(64, 4 probe_dim, 2 phi.dim).
+    for the finite trigonometric content of the integrand, and sums that
+    angular rule in closed form, so it evaluates the matrix elements at the
+    n_rad radii only (`budget` still reports the n_rad n_ang points of the
+    rule). A budget too small for a target accuracy is not an error; the
+    achieved deviation is simply reported. psi_0 = S(xi)|phi> is built at
+    the cutoff max(64, 4 probe_dim, 2 phi.dim); it and the disk radius are
+    kept for the last eight families, and a given radius skips the search.
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -480,14 +556,10 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             budget=0, seed=seed if method == "monte-carlo" else None,
             radius=0.0, grid_spec=None,
         )
-    chi = _seed_to_chi(phi, params, max(64, 4 * probe_dim, 2 * phi.dim))
-    n_bar_chi = index_sums(chi.amps)[2]
+    family = _family_of(phi, params, probe_dim)
+    chi = family.chi
     if radius is None:
-        # Tightest disk whose excluded probe-block mass stays below a tenth
-        # of the deviation target; the closed formula is the safety cap.
-        cap = radius_cap(probe_dim, n_bar_chi, params.r)
-        radius = choose_radius(chi.amps, probe_dim,
-                               0.1 * OVERCOMPLETENESS_TARGET, cap)
+        radius = family.radius
 
     gram = np.zeros((probe_dim, probe_dim), dtype=complex)
     if method == "monte-carlo":
@@ -503,17 +575,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             gram += (radius**2 / budget) * (block @ block.conj().T)
         grid_spec = None
     else:
-        top = int(support(chi.amps)[-1])
-        n_ang = 2 * (top + probe_dim) + 9
-        n_rad = max(64, min(512, budget // n_ang))
-        nodes, weights = np.polynomial.legendre.leggauss(n_rad)
-        rho = 0.5 * radius * (nodes + 1.0)
-        w_rad = 0.5 * radius * weights * rho          # rho d rho
-        ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        alphas = (rho[:, None] * np.exp(1j * ang)[None, :]).ravel()
-        w = np.repeat(w_rad * (2.0 / n_ang), n_ang)   # (1/pi) * 2 pi / n_ang
-        block = displaced_block(chi.amps, alphas, probe_dim)
-        gram = (block * w) @ block.conj().T
+        gram, n_rad, n_ang = _grid_gram(chi.amps, radius, probe_dim, budget)
         grid_spec = f"{n_rad}x{n_ang}"
         budget = n_rad * n_ang
         seed = None

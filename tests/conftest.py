@@ -561,6 +561,26 @@ def displaced_block_normalized(chi: np.ndarray, alphas: np.ndarray,
     return out
 
 
+def grid_gram_points(chi: np.ndarray, radius: float, probe_dim: int,
+                     budget: int) -> np.ndarray:
+    """The retired point grid of the overcompleteness grid method: n_rad
+    Gauss-Legendre radii on [0, radius] times n_ang = 2 (top + probe_dim) + 9
+    uniform angles, each point weighted (1/pi) (2 pi / n_ang) rho d rho, and
+    the gram summed over the amplitudes of all n_rad n_ang points."""
+    chi = np.asarray(chi, dtype=complex)
+    top = int(np.nonzero(np.abs(chi) > 1e-13)[0][-1])
+    n_ang = 2 * (top + probe_dim) + 9
+    n_rad = max(64, min(512, budget // n_ang))
+    nodes, weights = np.polynomial.legendre.leggauss(n_rad)
+    rho = 0.5 * radius * (nodes + 1.0)
+    w_rad = 0.5 * radius * weights * rho
+    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    alphas = (rho[:, None] * np.exp(1j * ang)[None, :]).ravel()
+    w = np.repeat(w_rad * (2.0 / n_ang), n_ang)
+    block = displaced_block_normalized(chi, alphas, probe_dim)
+    return (block * w) @ block.conj().T
+
+
 def radial_marginal_normalized(chi: np.ndarray, rho: np.ndarray,
                                probe_dim: int) -> np.ndarray:
     """(1/2pi) d/d rho^2 of the probe-row masses as sum_m |chi_m|^2 R^2,

@@ -334,7 +334,7 @@ _WIDE_BAND = ["--low", "0", "--high", "20",
     (["state", "build", "gcs-solve"] + _WIDE_BAND,
      "dim 16 cannot hold a band reaching level 20"),
     (["state", "build", "gcs-lattice", "--weights", "1,1,1,1,1,1,1"],
-     "cannot pad dim 19 down to 16"),
+     "dim 16 cannot hold a lattice reaching level 18"),
 ], ids=["gcs-solve-command", "gcs-solve", "gcs-lattice"])
 def test_seed_past_dim_exits_2(tmp_path, capsys, argv, message):
     # each seed kind builds at --dim or refuses; none switches cutoff

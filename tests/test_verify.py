@@ -1,6 +1,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -31,6 +34,9 @@ from contractive import (
 )
 from contractive.verify import (
     _SUBCHUNK,
+    _family_of,
+    _grid_gram,
+    _probe_family,
     _radial_marginal,
     _seed_to_chi,
     choose_radius,
@@ -46,6 +52,7 @@ from conftest import (
     displaced_block_normalized,
     displaced_block_powers,
     displaced_block_reference,
+    grid_gram_points,
     radial_marginal_factored,
     radial_marginal_normalized,
     radial_marginal_reference,
@@ -411,6 +418,139 @@ def test_overcompleteness_default_radius_bounds_excluded_mass():
         budget=40_000, method="grid",
     )
     assert report.max_abs_deviation < 5e-4
+
+
+def _assert_grid_gram_matches_points(phi, params, probe_dim, budget, radius=None):
+    family = _family_of(phi, params, probe_dim)
+    radius = family.radius if radius is None else radius
+    gram, n_rad, n_ang = _grid_gram(family.chi.amps, radius, probe_dim, budget)
+    points = grid_gram_points(family.chi.amps, radius, probe_dim, budget)
+    assert gram.shape == points.shape == (probe_dim, probe_dim)
+    assert np.max(np.abs(gram - points)) <= 1e-13
+    report = check_overcompleteness(phi, params, probe_dim=probe_dim, budget=budget,
+                                    method="grid", radius=radius)
+    assert report.grid_spec == f"{n_rad}x{n_ang}" and report.budget == n_rad * n_ang
+    assert report.max_abs_deviation == float(np.max(np.abs(gram - np.eye(probe_dim))))
+
+
+@pytest.mark.parametrize("phi, params, probe_dim, budget, radius", [
+    # criterion 8's family, with the workload's grid budget
+    (lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3), 6, 10_000, None),
+    (number_state(0, 8), SqueezeParams(r=0.0), 8, 40_000, 8.0),
+    # a 4-shell lattice squeezed at dim 256: support up to level 217
+    (lattice_phi([1.0] * 4).state.padded(128), SqueezeParams(r=0.8, theta=1.1),
+     6, 10_000, None),
+    (lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3), 1, 10_000, None),
+] + [
+    (number_state(0, 16), SqueezeParams(r=r), probe_dim, 20_000, None)
+    for probe_dim in (16, 17, 40) for r in (0.0, 0.3)
+], ids=["criterion-8", "vacuum-radius-8", "4-shell-r0.8", "probe-1"]
+   + [f"probe-{p}-r{r}" for p in (16, 17, 40) for r in (0.0, 0.3)])
+def test_grid_gram_matches_retired_point_grid(phi, params, probe_dim, budget, radius):
+    # the angular sum in closed form is the point grid's rule, evaluated exactly
+    _assert_grid_gram_matches_points(phi, params, probe_dim, budget, radius)
+
+
+@given(
+    r=st.floats(0.0, 0.5),
+    theta=st.floats(-math.pi, math.pi),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    probe_dim=st.integers(1, 4),
+)
+@settings(max_examples=15, deadline=None)
+def test_grid_gram_matches_retired_point_grid_on_lattices(r, theta, weights, probe_dim):
+    phi = lattice_phi(weights).state.padded(32)
+    _assert_grid_gram_matches_points(phi, SqueezeParams(r=r, theta=theta), probe_dim, 2_000)
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "grid"])
+def test_overcompleteness_same_bits_from_cold_and_warm_memo(method):
+    args = (lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3))
+    kwargs = dict(probe_dim=6, budget=5_000, method=method, seed=4)
+    _probe_family.cache_clear()
+    cold = check_overcompleteness(*args, **kwargs)
+    assert _probe_family.cache_info().misses == 1
+    warm = check_overcompleteness(*args, **kwargs)
+    assert _probe_family.cache_info().hits == 1
+    assert warm == cold
+    _probe_family.cache_clear()
+    assert check_overcompleteness(*args, **kwargs) == cold
+
+
+def test_overcompleteness_given_radius_skips_the_disk_search(monkeypatch):
+    phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
+    kwargs = dict(probe_dim=6, budget=1_000)
+    searched = check_overcompleteness(phi, params, **kwargs)
+    assert searched.radius != 3.0
+
+    def no_search(*args):
+        raise AssertionError("choose_radius ran")
+
+    monkeypatch.setattr("contractive.verify.choose_radius", no_search)
+    _probe_family.cache_clear()
+    for method in ("monte-carlo", "grid"):
+        report = check_overcompleteness(phi, params, method=method, radius=3.0, **kwargs)
+        assert report.radius == 3.0
+    monkeypatch.undo()
+    # a given radius also overrides the one a warm memo holds
+    assert check_overcompleteness(phi, params, **kwargs).radius == searched.radius
+    assert check_overcompleteness(phi, params, radius=3.0, **kwargs).radius == 3.0
+
+
+@pytest.mark.parametrize("first, second", [
+    # two seeds of one dim
+    ((lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)),
+     (lattice_phi([1.0, 2.0]).state, SqueezeParams(r=0.3))),
+    # theta = 0.0 and -0.0 compare equal but are different inputs
+    ((number_state(0, 16), SqueezeParams(r=0.3, theta=0.0)),
+     (number_state(0, 16), SqueezeParams(r=0.3, theta=-0.0))),
+], ids=["seeds", "signed-zero-theta"])
+def test_probe_family_memo_keeps_families_apart(first, second):
+    _probe_family.cache_clear()
+    a = _family_of(*first, 6)
+    b = _family_of(*second, 6)
+    assert a is not b
+    assert _probe_family.cache_info().currsize == 2
+    assert _family_of(*first, 6) is a and _family_of(*second, 6) is b
+    assert np.array_equal(a.chi.amps, _seed_to_chi(*first, 64).amps)
+    assert np.array_equal(b.chi.amps, _seed_to_chi(*second, 64).amps)
+
+
+def test_probe_family_chi_is_read_only():
+    chi = _family_of(number_state(0, 16), SqueezeParams(r=0.3), 6).chi
+    assert not chi.amps.flags.writeable
+    with pytest.raises(ValueError):
+        chi.amps[0] = 0.0
+
+
+# Grid reports on criterion 8's family and on a probe block wider than chi's
+# support, printed with every bit of each float.
+_GRID_REPORTS = """
+from contractive import SqueezeParams, check_overcompleteness, lattice_phi, number_state
+for phi, r, probe_dim, budget in ((lattice_phi([1.0, 1.0]).state, 0.3, 6, 10_000),
+                                  (number_state(0, 16), 0.3, 40, 20_000)):
+    report = check_overcompleteness(phi, SqueezeParams(r=r), probe_dim=probe_dim,
+                                    budget=budget, method="grid")
+    print(report.max_abs_deviation.hex(), report.radius.hex(), report.grid_spec)
+"""
+
+
+def test_grid_report_identical_across_blas_thread_counts():
+    # the grid gram is an einsum without BLAS, so its bits must not depend
+    # on how many threads OpenBLAS would split a product over
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: every BLAS call runs on one thread")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="1")):
+        proc = subprocess.run([sys.executable, "-c", _GRID_REPORTS],
+                              capture_output=True, text=True, timeout=60, env=run_env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 2 and outputs[0] == outputs[1]
 
 
 def test_overcompleteness_monte_carlo_smoke():
