@@ -40,6 +40,21 @@ costs a recurrence step and four real array operations and touches no
 complex data. Each row is finished once, as its complex sum times u^j.
 `_radial_marginal` reads the same chains: its rows are sum_m |chi_m|^2 R^2.
 
+The Monte Carlo gram is streamed. `_monte_carlo_gram` draws rho and the
+angle _DRAW_CHUNK samples at a time, then works one _SUBCHUNK pass at a
+time: alpha, the pass's (probe_dim, n) block, and its contribution
+(R^2 / budget) block conj(block)^T, summed by an einsum that calls no
+BLAS. No block of a whole draw chunk exists, and the gram's bits do not
+depend on the BLAS thread count. Every real and complex plane of a pass,
+the block and its conjugate included, comes from one `_Workspace`
+allocated once per call and carved at 64-byte offsets, so no plane's
+alignment depends on where the heap starts. A radial chain holds two planes
+from its key's first element until `_schedule`'s `last` map retires the
+key, then hands them back. So the real planes number five, two per chain at
+the schedule's high-water mark, four, and two per probe row: 33 for
+criterion 8's family at probe_dim 6. With 20k-sample passes at probe_dim 6
+the workspace takes 11 MB, and a 200k draw chunk adds 3.2 MB at any budget.
+
 The kernel must stay bit-identical to the per-pair oracle of this
 arithmetic in tests/conftest.py (`displaced_block_normalized`, which
 restarts every chain at order 0 and rebuilds every power from ones), and
@@ -115,10 +130,19 @@ IDENTITY_TOL = 1e-8
 # Band-violation slack for rigorous-bound sweeps.
 BAND_SLACK = 1e-9
 
-# Samples per pass of displaced_block. Columns are independent, so the split
-# changes no bits; it bounds the radial chains, the row accumulators and the
-# temporaries (wider passes raised peak memory and ran no faster).
+# Samples per pass of displaced_block and of the Monte Carlo gram. Columns
+# are independent, so the split changes no amplitude bits, and it sizes the
+# workspace (wider passes raised peak memory and ran no faster). The Monte
+# Carlo gram is summed pass by pass, so the pass width also sets the gram's
+# summation order: another width moves the deviation's trailing digits.
 _SUBCHUNK = 20_000
+
+# Monte Carlo samples drawn at once, all radii and then all angles; the
+# draws, and so every sample, depend on it.
+_DRAW_CHUNK = 200_000
+
+# Byte alignment of every workspace plane.
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -275,19 +299,87 @@ def audit_extremal(state: FockVector) -> ExtremalAudit:
 
 
 def _schedule(chi: np.ndarray, probe_dim: int):
-    """chi's support levels m, ascending, and for each element key
-    (m >= j, |m - j|) the last level that reads it.
+    """chi's support levels m, ascending; for each element key
+    (m >= j, |m - j|) the last level that reads it; and the most keys live
+    at once, the high-water mark of the radial chains.
 
     A key names a radial chain: for m >= j the element is order j of offset
     m - j, for m < j order m of offset j - m, so each level reads a key at
-    most once and at a higher order.
+    most once and at a higher order. A chain lives from its key's first
+    element to its last, in the order `_radial_elements` visits them.
     """
     levels = [int(m) for m in support(chi)]
     last: dict[tuple[bool, int], int] = {}
     for m in levels:
         for j in range(probe_dim):
             last[(m >= j, abs(m - j))] = m
-    return levels, last
+    live: set[tuple[bool, int]] = set()
+    peak = 0
+    for m in levels:
+        for j in range(probe_dim):
+            key = (m >= j, abs(m - j))
+            live.add(key)
+            peak = max(peak, len(live))
+            if last[key] == m:
+                live.remove(key)
+    return levels, last, peak
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class _Workspace:
+    """Real and complex planes for passes of up to `width` samples, carved at
+    64-byte offsets from one buffer allocated once, and `rows`, a
+    (count, width) complex block beside them.
+
+    `start(n)` begins a pass of n samples: `real()` and `complex()` then
+    hand out n-entry planes, and `give` takes one back for reuse, so a pass
+    allocates no plane of its own. Every plane of the previous pass is free
+    again after `start`.
+    """
+
+    def __init__(self, width: int, reals: int, complexes: int, rows: int = 0):
+        real_stride = _aligned(8 * width)
+        complex_stride = _aligned(16 * width)
+        sizes = (reals * real_stride, (complexes + rows) * complex_stride)
+        raw = np.empty(sum(sizes) + _ALIGN, dtype=np.uint8)
+        raw = raw[-raw.ctypes.data % _ALIGN:][:sum(sizes)]
+        self._reals = raw[:sizes[0]].view(float).reshape(reals, real_stride // 8)
+        planes = raw[sizes[0]:].view(complex).reshape(complexes + rows,
+                                                      complex_stride // 16)
+        self._complexes = planes[:complexes]
+        self.rows = planes[complexes:, :width]
+        self._free_reals: list[np.ndarray] = []
+        self._free_complexes: list[np.ndarray] = []
+
+    def start(self, n: int) -> None:
+        self._free_reals = list(self._reals[::-1, :n])
+        self._free_complexes = list(self._complexes[::-1, :n])
+
+    def real(self) -> np.ndarray:
+        return self._free_reals.pop()
+
+    def complex(self) -> np.ndarray:
+        return self._free_complexes.pop()
+
+    def give(self, plane: np.ndarray) -> None:
+        free = self._free_complexes if plane.dtype == complex else self._free_reals
+        free.append(plane)
+
+
+def _radial_planes(schedule) -> int:
+    """Real planes `_radial_elements` holds at once: y, y / 2, the rho = 0
+    mask, log rho and the step scratch, and two for each live chain."""
+    return 5 + 2 * schedule[2]
+
+
+def _column_planes(probe_dim: int, schedule) -> int:
+    """Real planes `_displace_columns` holds at once: rho, the term, the
+    weight's two planes and two accumulators per probe row, beside the
+    radial planes."""
+    return _radial_planes(schedule) + 4 + 2 * probe_dim
 
 
 class _RadialChain:
@@ -295,16 +387,19 @@ class _RadialChain:
     R_k = sqrt(k! d! / (k + d)!) L_k^(d)(y) sqrt(e^-y y^d / d!).
 
     Each value equals, bit for bit, what the recurrence restarted at order 0
-    gives: the steps and their operand order are the same.
+    gives: the steps and their operand order are the same. It works in two
+    planes, the start value and a spare, and writes each step over the
+    older one.
     """
 
     __slots__ = ("offset", "y", "order", "prev", "curr")
 
-    def __init__(self, offset: int, y: np.ndarray, start: np.ndarray):
+    def __init__(self, offset: int, y: np.ndarray, start: np.ndarray,
+                 spare: np.ndarray):
         self.offset = offset
         self.y = y
         self.order = 0
-        self.prev = None
+        self.prev = spare
         self.curr = start
 
     def at(self, order: int, scratch: np.ndarray) -> np.ndarray:
@@ -314,7 +409,7 @@ class _RadialChain:
             k = self.order
             if k == 0:
                 # (1 + d - y) R_0 / sqrt(1 + d)
-                nxt = np.subtract(1 + d, y)
+                nxt = np.subtract(1 + d, y, out=self.prev)
                 np.multiply(nxt, self.curr, out=nxt)
                 np.divide(nxt, math.sqrt(1 + d), out=nxt)
                 self.prev, self.curr = self.curr, nxt
@@ -332,26 +427,33 @@ class _RadialChain:
         return self.curr
 
 
-def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
+def _radial_elements(rho: np.ndarray, probe_dim: int, schedule,
+                     space: _Workspace):
     """Yield (j, m, radial) for chi's support levels m, ascending, and within
     each level the probe rows j < probe_dim.
 
     radial is R_lo^(d)(rho^2), d = |m - j|, lo = min(m, j), the real factor
     of <j|D(alpha)|m> in the module docstring. Every row j still receives
-    its terms in ascending m. The array is overwritten by a later element.
+    its terms in ascending m. Each plane comes from space, started for
+    rho.size samples with `_radial_planes(schedule)` real planes free; a
+    chain's two go back to it after its key's last level, so the array is
+    overwritten by a later element.
     """
-    support, last = schedule
-    y = rho**2
-    half_y = 0.5 * y
-    zero = rho == 0.0
+    support, last, _ = schedule
+    y = np.square(rho, out=space.real())
+    half_y = np.multiply(0.5, y, out=space.real())
+    zero = np.equal(rho, 0.0, out=space.real().view(bool)[:rho.size])
     any_zero = bool(np.any(zero))
     # log rho is only consumed where rho > 0: at rho = 0 the chains of
     # offset 0 start at 1 and the others are set to 0, so D(0) = I.
-    log_rho = np.log(np.where(zero, 1.0, rho))
+    log_rho = space.real()
+    np.copyto(log_rho, rho)
+    np.copyto(log_rho, 1.0, where=zero)
+    np.log(log_rho, out=log_rho)
     top = max(support[-1] if support else 0, probe_dim - 1)
     lgam = [math.lgamma(k + 1.0) for k in range(top + 1)]
     chains: dict[tuple[bool, int], _RadialChain] = {}
-    scratch = np.empty_like(y)
+    scratch = space.real()
     for m in support:
         for j in range(probe_dim):
             d = abs(m - j)
@@ -360,50 +462,73 @@ def _radial_elements(rho: np.ndarray, probe_dim: int, schedule):
             if chain is None:
                 # R_0 = exp((d log rho - y / 2) - lgam[d] / 2), the root of
                 # a Poisson weight made in the log domain
-                start = np.multiply(d, log_rho)
+                start = np.multiply(d, log_rho, out=space.real())
                 np.subtract(start, half_y, out=start)
                 np.subtract(start, 0.5 * lgam[d], out=start)
                 np.exp(start, out=start)
                 if d and any_zero:
-                    start[zero] = 0.0
-                chain = chains[key] = _RadialChain(d, y, start)
+                    np.copyto(start, 0.0, where=zero)
+                chain = chains[key] = _RadialChain(d, y, start, space.real())
             yield j, m, chain.at(min(m, j), scratch)
             if last[key] == m:
                 del chains[key]
+                space.give(chain.prev)
+                space.give(chain.curr)
 
 
 def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
-                      schedule) -> None:
-    """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas))."""
-    probe_dim, n = out.shape
-    # u = e^{i phi}, with phase 1 at alpha = 0
-    unit = np.exp(1j * np.angle(alphas))
-    unit_conj = unit.conj()
+                      schedule, space: _Workspace) -> None:
+    """Add <j|D(alpha)|chi> into out, shape (probe_dim, len(alphas)).
+
+    Every plane comes from space, started for len(alphas) samples with
+    `_column_planes` real and five complex planes free. No complex product
+    is written over one of its operands: numpy rounds an in-place complex
+    multiply of one element differently from the same multiply into a fresh
+    array, which the oracle tests would see.
+    """
+    probe_dim = out.shape[0]
+    weight = space.complex()
+    # u = e^{i phi}, with phase 1 at alpha = 0; np.angle is this arctan2
+    phase = np.arctan2(alphas.imag, alphas.real, out=space.real())
+    unit = np.exp(np.multiply(1j, phase, out=weight), out=space.complex())
+    space.give(phase)
+    unit_conj = np.conjugate(unit, out=space.complex())
+    rho = np.abs(alphas, out=space.real())
     # real and imaginary planes of each row's sum of s R chi_m conj(u)^m
-    acc_re = np.zeros((probe_dim, n))
-    acc_im = np.zeros((probe_dim, n))
-    term = np.empty(n)
-    power = np.ones_like(unit)
+    acc_re = [space.real() for _ in range(probe_dim)]
+    acc_im = [space.real() for _ in range(probe_dim)]
+    for plane in acc_re + acc_im:
+        plane.fill(0.0)
+    term = space.real()
+    weight_re = space.real()
+    weight_im = space.real()
+    power, spare = space.complex(), space.complex()
+    power.fill(1.0)
     level = 0
-    for j, m, radial in _radial_elements(np.abs(alphas), probe_dim, schedule):
+    for j, m, radial in _radial_elements(rho, probe_dim, schedule, space):
         if j == 0:
             # a new level: chi_m conj(u)^m, the powers sequential products
             # from ones
             while level < m:
-                power = power * unit_conj
+                power, spare = np.multiply(power, unit_conj, out=spare), power
                 level += 1
-            weight = chi[m] * power
-            weight_re = weight.real.copy()
-            weight_im = weight.imag.copy()
+            np.multiply(chi[m], power, out=weight)
+            np.copyto(weight_re, weight.real)
+            np.copyto(weight_im, weight.imag)
         add = np.subtract if m >= j and (m - j) % 2 else np.add
         np.multiply(radial, weight_re, out=term)
         add(acc_re[j], term, out=acc_re[j])
         np.multiply(radial, weight_im, out=term)
         add(acc_im[j], term, out=acc_im[j])
-    power = np.ones_like(unit)
+    # each row's complex sum times u^j, made in the planes of the weight
+    # and of conj(u)
+    power.fill(1.0)
+    row, product = weight, unit_conj
     for j in range(probe_dim):
-        out[j] += (acc_re[j] + 1j * acc_im[j]) * power
-        power = power * unit
+        np.multiply(1j, acc_im[j], out=row)
+        np.add(acc_re[j], row, out=row)
+        np.add(out[j], np.multiply(row, power, out=product), out=out[j])
+        power, spare = np.multiply(power, unit, out=spare), power
 
 
 def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -416,9 +541,12 @@ def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.n
     alphas = np.asarray(alphas, dtype=complex)
     out = np.zeros((probe_dim, alphas.size), dtype=complex)
     schedule = _schedule(chi, probe_dim)
+    space = _Workspace(min(_SUBCHUNK, alphas.size),
+                       _column_planes(probe_dim, schedule), 5)
     for start in range(0, alphas.size, _SUBCHUNK):
         cols = slice(start, start + _SUBCHUNK)
-        _displace_columns(chi, alphas[cols], out[:, cols], schedule)
+        space.start(alphas[cols].size)
+        _displace_columns(chi, alphas[cols], out[:, cols], schedule, space)
     return out
 
 
@@ -436,9 +564,18 @@ def _radial_marginal(chi: np.ndarray, rho: np.ndarray, probe_dim: int) -> np.nda
     """(1/2pi) d/d rho^2 of the probe-row masses: T[j, i] such that
     integral 2 rho T_j(rho) d rho over [0, inf) equals 1 for each j."""
     out = np.zeros((probe_dim, rho.size))
-    for j, m, radial in _radial_elements(rho, probe_dim, _schedule(chi, probe_dim)):
+    schedule = _schedule(chi, probe_dim)
+    for j, m, radial in _radial_elements(rho, probe_dim, schedule,
+                                         _radial_space(rho.size, schedule)):
         out[j] += np.abs(chi[m]) ** 2 * radial**2
     return out
+
+
+def _radial_space(n: int, schedule) -> _Workspace:
+    """A workspace started for one `_radial_elements` pass over n radii."""
+    space = _Workspace(n, _radial_planes(schedule), 0)
+    space.start(n)
+    return space
 
 
 def choose_radius(chi: np.ndarray, probe_dim: int,
@@ -495,6 +632,57 @@ def _family_of(phi: FockVector, params: SqueezeParams, probe_dim: int) -> _Probe
                          np.array([params.r, params.theta]).tobytes(), probe_dim)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre(n_rad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_rad)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _monte_carlo_gram(chi: np.ndarray, radius: float, probe_dim: int,
+                      budget: int, seed: int) -> np.ndarray:
+    """The probe block of (1/pi) integral d^2alpha |psi_alpha><psi_alpha| as
+    (R^2 / budget) sum_n block[:, n] conj(block[:, n])^T over alpha_n uniform
+    on the disk of radius R, summed one _SUBCHUNK pass at a time (see the
+    module docstring)."""
+    rng = np.random.default_rng(seed)
+    schedule = _schedule(chi, probe_dim)
+    # alpha and the five complex planes of _displace_columns, then the
+    # pass's block and its conjugate as 2 probe_dim rows
+    space = _Workspace(min(_SUBCHUNK, budget), _column_planes(probe_dim, schedule),
+                       6, 2 * probe_dim)
+    block, block_conj = space.rows[:probe_dim], space.rows[probe_dim:]
+    gram = np.zeros((probe_dim, probe_dim), dtype=complex)
+    remaining = budget
+    while remaining > 0:
+        size = min(_DRAW_CHUNK, remaining)
+        remaining -= size
+        # rho = R sqrt(U) and angle = 2 pi U', made in place
+        rho = rng.random(size)
+        np.multiply(radius, np.sqrt(rho, out=rho), out=rho)
+        ang = rng.random(size)
+        np.multiply(2.0 * np.pi, ang, out=ang)
+        for start in range(0, size, _SUBCHUNK):
+            cols = slice(start, start + _SUBCHUNK)
+            n = rho[cols].size
+            space.start(n)
+            # alpha = rho e^{i angle}
+            alphas, phasor = space.complex(), space.complex()
+            np.exp(np.multiply(1j, ang[cols], out=alphas), out=phasor)
+            np.multiply(rho[cols], phasor, out=alphas)
+            space.give(phasor)
+            out = block[:, :n]
+            out.fill(0.0)
+            _displace_columns(chi, alphas, out, schedule, space)
+            # einsum without optimize calls no BLAS, so the sum's bits do not
+            # depend on the thread count
+            out_conj = np.conjugate(out, out=block_conj[:, :n])
+            gram += (radius**2 / budget) * np.einsum("jn,kn->jk", out, out_conj)
+    return gram
+
+
 def _grid_gram(chi: np.ndarray, radius: float, probe_dim: int, budget: int):
     """(gram, n_rad, n_ang) of the disk grid, n_rad Gauss-Legendre radii
     times n_ang uniform angles, with the angular sum in closed form (see the
@@ -504,11 +692,12 @@ def _grid_gram(chi: np.ndarray, radius: float, probe_dim: int, budget: int):
     top = schedule[0][-1]
     n_ang = 2 * (top + probe_dim) + 9
     n_rad = max(64, min(512, budget // n_ang))
-    nodes, weights = np.polynomial.legendre.leggauss(n_rad)
+    nodes, weights = _legendre(n_rad)
     rho = 0.5 * radius * (nodes + 1.0)
     w_rad = 0.5 * radius * weights * rho          # rho d rho
     amps = np.zeros((probe_dim, top + probe_dim, n_rad), dtype=complex)
-    for j, m, radial in _radial_elements(rho, probe_dim, schedule):
+    for j, m, radial in _radial_elements(rho, probe_dim, schedule,
+                                         _radial_space(n_rad, schedule)):
         s = -1.0 if m >= j and (m - j) % 2 else 1.0
         amps[j, m - j + probe_dim - 1] = (s * chi[m]) * radial
     # einsum without optimize calls no BLAS, so the sum's bits do not depend
@@ -561,18 +750,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     if radius is None:
         radius = family.radius
 
-    gram = np.zeros((probe_dim, probe_dim), dtype=complex)
     if method == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        remaining = budget
-        while remaining > 0:
-            size = min(200_000, remaining)
-            remaining -= size
-            rho = radius * np.sqrt(rng.random(size))
-            ang = 2.0 * np.pi * rng.random(size)
-            alphas = rho * np.exp(1j * ang)
-            block = displaced_block(chi.amps, alphas, probe_dim)
-            gram += (radius**2 / budget) * (block @ block.conj().T)
+        gram = _monte_carlo_gram(chi.amps, radius, probe_dim, budget, seed)
         grid_spec = None
     else:
         gram, n_rad, n_ang = _grid_gram(chi.amps, radius, probe_dim, budget)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,8 +35,11 @@ from contractive import (
 )
 from contractive.verify import (
     _SUBCHUNK,
+    _displace_columns,
     _family_of,
     _grid_gram,
+    _legendre,
+    _monte_carlo_gram,
     _probe_family,
     _radial_marginal,
     _seed_to_chi,
@@ -467,14 +471,32 @@ def test_grid_gram_matches_retired_point_grid_on_lattices(r, theta, weights, pro
 def test_overcompleteness_same_bits_from_cold_and_warm_memo(method):
     args = (lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3))
     kwargs = dict(probe_dim=6, budget=5_000, method=method, seed=4)
+    grid = method == "grid"   # only the grid reads Gauss-Legendre nodes
     _probe_family.cache_clear()
+    _legendre.cache_clear()
     cold = check_overcompleteness(*args, **kwargs)
     assert _probe_family.cache_info().misses == 1
+    assert _legendre.cache_info().misses == grid
     warm = check_overcompleteness(*args, **kwargs)
     assert _probe_family.cache_info().hits == 1
+    assert _legendre.cache_info().hits == grid
     assert warm == cold
     _probe_family.cache_clear()
+    _legendre.cache_clear()
     assert check_overcompleteness(*args, **kwargs) == cold
+
+
+@pytest.mark.parametrize("n_rad", [64, 74])
+def test_legendre_memo_is_leggauss_read_only(n_rad):
+    _legendre.cache_clear()
+    nodes, weights = _legendre(n_rad)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n_rad)
+    assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+    assert _legendre(n_rad)[0] is nodes and _legendre.cache_info().hits == 1
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_overcompleteness_given_radius_skips_the_disk_search(monkeypatch):
@@ -523,6 +545,90 @@ def test_probe_family_chi_is_read_only():
         chi.amps[0] = 0.0
 
 
+def _retired_monte_carlo_gram(chi, radius, probe_dim, budget, seed):
+    """The whole-chunk gram the Monte Carlo method summed before it streamed:
+    the same draws, one displaced_block per 200k chunk and one matrix
+    product per chunk. Returns the gram and the samples."""
+    rng = np.random.default_rng(seed)
+    gram = np.zeros((probe_dim, probe_dim), dtype=complex)
+    samples = []
+    remaining = budget
+    while remaining > 0:
+        size = min(200_000, remaining)
+        remaining -= size
+        rho = radius * np.sqrt(rng.random(size))
+        ang = 2.0 * np.pi * rng.random(size)
+        alphas = rho * np.exp(1j * ang)
+        samples.append(alphas)
+        block = displaced_block(chi, alphas, probe_dim)
+        gram += (radius**2 / budget) * (block @ block.conj().T)
+    return gram, np.concatenate(samples)
+
+
+@pytest.mark.parametrize("budget", [1, _SUBCHUNK, _SUBCHUNK + 1, 200_001])
+def test_streamed_gram_matches_whole_chunk_gram(budget, monkeypatch):
+    # the same samples, bit for bit, and the same gram up to the order of
+    # its sums: per pass by einsum against per draw chunk by BLAS; 200,001
+    # crosses the draw chunk
+    phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
+    family = _family_of(phi, params, 6)
+    chi, radius = family.chi.amps, family.radius
+    want, want_samples = _retired_monte_carlo_gram(chi, radius, 6, budget, 7)
+    samples, grams = [], []
+
+    def recording_kernel(chi, alphas, *args):
+        samples.append(alphas.copy())
+        return _displace_columns(chi, alphas, *args)
+
+    def recording_gram(*args):
+        grams.append(_monte_carlo_gram(*args))
+        return grams[-1]
+
+    monkeypatch.setattr("contractive.verify._displace_columns", recording_kernel)
+    monkeypatch.setattr("contractive.verify._monte_carlo_gram", recording_gram)
+    report = check_overcompleteness(phi, params, probe_dim=6, budget=budget, seed=7)
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate(samples), want_samples)
+    assert np.max(np.abs(grams[0] - want)) <= 1e-13
+    retired = float(np.max(np.abs(want - np.eye(6))))
+    assert abs(report.max_abs_deviation - retired) <= 1e-13
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_budget():
+    # the gram is streamed pass by pass from one workspace, so ten times the
+    # samples add only the draws of a 200k chunk (3.2 MB); a (probe_dim,
+    # chunk) block and its conjugate took 34 MB more
+    phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
+    check_overcompleteness(phi, params, probe_dim=6, budget=1)  # build the family
+    peaks = []
+    for budget in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            check_overcompleteness(phi, params, probe_dim=6, budget=budget, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4e6, peaks
+
+
+def _same_output_across_blas_thread_counts(script, lines):
+    """Run script at OPENBLAS_NUM_THREADS=1 and at the default; both must
+    print the same `lines` lines."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: every BLAS call runs on one thread")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="1")):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=run_env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == lines and outputs[0] == outputs[1]
+
+
 # Grid reports on criterion 8's family and on a probe block wider than chi's
 # support, printed with every bit of each float.
 _GRID_REPORTS = """
@@ -538,19 +644,22 @@ for phi, r, probe_dim, budget in ((lattice_phi([1.0, 1.0]).state, 0.3, 6, 10_000
 def test_grid_report_identical_across_blas_thread_counts():
     # the grid gram is an einsum without BLAS, so its bits must not depend
     # on how many threads OpenBLAS would split a product over
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("one CPU: every BLAS call runs on one thread")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    outputs = []
-    for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="1")):
-        proc = subprocess.run([sys.executable, "-c", _GRID_REPORTS],
-                              capture_output=True, text=True, timeout=60, env=run_env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 2 and outputs[0] == outputs[1]
+    _same_output_across_blas_thread_counts(_GRID_REPORTS, 2)
+
+
+# A Monte Carlo report on criterion 8's family over three 20k passes, printed
+# with every bit of each float.
+_MONTE_CARLO_REPORT = """
+from contractive import SqueezeParams, check_overcompleteness, lattice_phi
+report = check_overcompleteness(lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3),
+                                probe_dim=6, budget=60_000, seed=5)
+print(report.max_abs_deviation.hex(), report.radius.hex())
+"""
+
+
+def test_monte_carlo_report_identical_across_blas_thread_counts():
+    # the streamed Monte Carlo gram is an einsum without BLAS too
+    _same_output_across_blas_thread_counts(_MONTE_CARLO_REPORT, 1)
 
 
 def test_overcompleteness_monte_carlo_smoke():
