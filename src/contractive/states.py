@@ -17,7 +17,12 @@ expansion costs more in numpy's per-call overhead than in arithmetic. So
 and adds a full block of rows onto the sum in two numpy calls, with the
 operations and the order of a term-by-term sum: its output is bit-identical
 to that loop, which tests/conftest.py keeps as
-`expm_band_chebyshev_reference`.
+`expm_band_chebyshev_reference`. Rows too large for a useful ring run that
+loop itself. The two are separate loops, so a term makes its numpy calls and
+tests no mode. A ring row is written by one add that carries the first k
+entries of u_{j-1} through a -0.0 pad rather than by an add and a copy, and
+the block weights are made complex once per call, the type numpy would cast
+them to at every flush.
 """
 
 from __future__ import annotations
@@ -154,14 +159,19 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     whose Bessel tail 2 sum_{i>j} |J_i(rho)| is below half the unit roundoff,
     so the number of terms depends on rho alone.
 
-    From u_2 on, each u_{j+1} is written into the next row of a ring; when a
-    block of rows is full, the rows are weighted by their 2 J_j in one
-    multiply, and one add.reduce over the out row and the block adds them to
-    the sum in the order ((out + t_a) + t_{a+1}) + ..., the order of a sum
-    term by term. Every operation is the one the term-by-term loop makes, so
-    the result is bit-identical to it (tests/conftest.py keeps that loop as
-    expm_band_chebyshev_reference). Rows too large for a useful ring (see
-    _block_terms) run that loop itself.
+    From u_2 on, each u_{j+1} is written into the next row of a ring: u_{j-1}
+    plus the product (2 G / rho) u_j, whose first k entries are -0.0 (x +
+    -0.0 is x bit for bit), then minus the other product. When a block of
+    rows is full, the rows are weighted by their 2 J_j in one multiply, and
+    one add.reduce over the out row and the block adds them to the sum in
+    the order ((out + t_a) + t_{a+1}) + ..., the order of a sum term by
+    term. The weights are a complex column made once per call: a complex
+    row times a float weight runs numpy's complex multiply on the weight
+    cast to complex, so the products keep their bits. Every value is the
+    one the term-by-term loop makes, so the result is bit-identical to it
+    (tests/conftest.py keeps that loop as expm_band_chebyshev_reference).
+    Rows too large for a useful ring (see _block_terms) run that loop
+    itself, in a loop of its own that returns before the ring's.
     """
     dim = amps.shape[0]
     band = _band(k, c, dim)
@@ -192,36 +202,48 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     out += 2.0 * bessel[1] * cur
     lo = [row[:-k] for row in ring]
     hi = [row[k:] for row in ring]
-    head = [row[:k] for row in ring]
-    scratch = np.empty_like(hi[0])
-    term = np.empty_like(out) if in_place else None
-    coeffs = 2.0 * bessel[2:]
-    size = max(coeffs.size, 1) if in_place else block
-    for start in range(0, coeffs.size, size):
-        chunk = coeffs[start:start + size]
-        for i, coeff in enumerate(chunk):
-            # u_{j+1} = (2 G / rho) u_j + u_{j-1} into row w, which in place
-            # is u_{j-1}'s own row
-            w = p if in_place else i + 1
-            np.multiply(band, lo[q], out=scratch)
-            np.add(hi[p], scratch, out=hi[w])
-            if not in_place:
-                head[w][...] = head[p]
-            np.multiply(band_conj, hi[q], out=scratch)
-            np.subtract(lo[w], scratch, out=lo[w])
+    full = list(ring)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    if in_place:
+        scratch = np.empty_like(hi[0])
+        term = np.empty_like(out)
+        for coeff in 2.0 * bessel[2:]:
+            # u_{j+1} = (2 G / rho) u_j + u_{j-1}, written over u_{j-1}
+            multiply(band, lo[q], scratch)
+            add(hi[p], scratch, hi[p])
+            multiply(band_conj, hi[q], scratch)
+            subtract(lo[p], scratch, lo[p])
+            p, q = q, p
+            multiply(full[q], coeff, term)
+            add(out, term, out)
+        return out
+    # products (2 G / rho) u_j go to pad[k:]; pad[:k] holds -0.0 - 0.0j,
+    # which added to any value returns it bit for bit (a +0.0 part would
+    # turn -0.0 into +0.0), so a ring row plus pad is u_{j-1} + the product
+    # with u_{j-1}'s first k entries carried unchanged
+    pad = np.empty_like(out)
+    pad[:k] = complex(-0.0, -0.0)
+    scratch = pad[k:]
+    # the weights 2 J_j as a complex column: complex by complex is the loop
+    # numpy runs for a float column, without casting it at every flush
+    weights = (2.0 * bessel[2:]).astype(complex).reshape((-1,) + (1,) * amps.ndim)
+    for start in range(0, weights.shape[0], block):
+        n = min(block, weights.shape[0] - start)
+        for w in range(1, n + 1):
+            # u_{j+1} = (2 G / rho) u_j + u_{j-1} into row w
+            multiply(band, lo[q], scratch)
+            add(full[p], pad, full[w])
+            multiply(band_conj, hi[q], scratch)
+            subtract(lo[w], scratch, lo[w])
             p, q = q, w
-            if in_place:
-                np.multiply(ring[q], coeff, out=term)
-                out += term
-        if not in_place:  # carry u_{j-1}, u_j, then sum the block
-            ring[block + 1] = ring[p]
-            ring[block + 2] = ring[q]
-            p, q = block + 1, block + 2
-            n = chunk.size
-            ring[0] = out
-            rows = ring[1:n + 1]
-            np.multiply(rows, chunk.reshape((n,) + (1,) * amps.ndim), out=rows)
-            np.add.reduce(ring[:n + 1], axis=0, out=out)
+        # carry u_{j-1}, u_j, then sum the block
+        ring[block + 1] = ring[p]
+        ring[block + 2] = ring[q]
+        p, q = block + 1, block + 2
+        ring[0] = out
+        rows = ring[1:n + 1]
+        multiply(rows, weights[start:start + n], rows)
+        add.reduce(ring[:n + 1], axis=0, out=out)
     return out
 
 

@@ -52,8 +52,10 @@ alignment depends on where the heap starts. A radial chain holds two planes
 from its key's first element until `_schedule`'s `last` map retires the
 key, then hands them back. So the real planes number five, two per chain at
 the schedule's high-water mark, four, and two per probe row: 33 for
-criterion 8's family at probe_dim 6. With 20k-sample passes at probe_dim 6
-the workspace takes 11 MB, and a 200k draw chunk adds 3.2 MB at any budget.
+criterion 8's family at probe_dim 6. The conjugate block reuses the first
+2 probe_dim of them, which are all free once `_displace_columns` returns.
+With 20k-sample passes at probe_dim 6 the workspace takes 9.1 MB, and a
+200k draw chunk adds 3.2 MB at any budget.
 
 The kernel must stay bit-identical to the per-pair oracle of this
 arithmetic in tests/conftest.py (`displaced_block_normalized`, which
@@ -116,7 +118,7 @@ from .fock import (
 )
 from .gcs import lattice_phi, require_seed
 from .moments import lambda_from_moments, summarize
-from .states import SqueezeParams, _expm_band, make_scs, squeeze
+from .states import SqueezeParams, _auto_build, _expm_band, make_scs, squeeze
 from .dynamics import PhysicalScales, evolve_free_mass, evolve_oscillator
 
 # Identity-resolution deviation target for the default Monte Carlo budget of
@@ -600,11 +602,13 @@ def choose_radius(chi: np.ndarray, probe_dim: int,
 
 
 class _ProbeFamily:
-    """chi = S(xi)|phi> at the cutoff max(64, 4 probe_dim, 2 phi.dim), and
+    """chi = S(xi)|phi> at the first cutoff from max(64, 4 probe_dim,
+    2 phi.dim) on, doubling as the builders do, at which it resolves, and
     its disk radius, searched on first use."""
 
     def __init__(self, phi: FockVector, params: SqueezeParams, probe_dim: int):
-        self.chi = _seed_to_chi(phi, params, max(64, 4 * probe_dim, 2 * phi.dim))
+        self.chi = _auto_build(lambda dim: _seed_to_chi(phi, params, dim),
+                               max(64, 4 * probe_dim, 2 * phi.dim), params.r, 0j)
         self.probe_dim = probe_dim
         self.r = params.r
 
@@ -650,10 +654,12 @@ def _monte_carlo_gram(chi: np.ndarray, radius: float, probe_dim: int,
     rng = np.random.default_rng(seed)
     schedule = _schedule(chi, probe_dim)
     # alpha and the five complex planes of _displace_columns, then the
-    # pass's block and its conjugate as 2 probe_dim rows
+    # pass's block as probe_dim rows; its conjugate takes the first
+    # 2 probe_dim real planes, all free once _displace_columns returns
     space = _Workspace(min(_SUBCHUNK, budget), _column_planes(probe_dim, schedule),
-                       6, 2 * probe_dim)
-    block, block_conj = space.rows[:probe_dim], space.rows[probe_dim:]
+                       6, probe_dim)
+    block = space.rows
+    block_conj = space._reals[:2 * probe_dim].reshape(probe_dim, -1).view(complex)
     gram = np.zeros((probe_dim, probe_dim), dtype=complex)
     remaining = budget
     while remaining > 0:
@@ -724,8 +730,10 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     n_rad radii only (`budget` still reports the n_rad n_ang points of the
     rule). A budget too small for a target accuracy is not an error; the
     achieved deviation is simply reported. psi_0 = S(xi)|phi> is built at
-    the cutoff max(64, 4 probe_dim, 2 phi.dim); it and the disk radius are
-    kept for the last eight families, and a given radius skips the search.
+    the first of max(64, 4 probe_dim, 2 phi.dim) and its doublings at which
+    it resolves, as the builders choose their cutoff (OutOfRangeError past
+    AUTO_DIM_MAX); it and the disk radius are kept for the last eight
+    families, and a given radius skips the search.
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")

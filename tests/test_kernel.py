@@ -373,6 +373,31 @@ def test_kernel_bit_identical_to_retired_chebyshev_loop(k, dim, rho, phase, colu
     assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
+def test_kernel_bit_identical_in_the_sweep_regime(monkeypatch):
+    # the dim-256 squeezes the sweep benchmark runs reach 1-norms from 130
+    # to 256, between the values sampled above; record both kernel calls of
+    # make_scs, the squeeze (k = 2) and the displacement of the squeezed
+    # vector (k = 1), over draws in the sweep's ranges
+    calls = []
+
+    def recording_kernel(amps, k, c):
+        calls.append((amps.copy(), k, c, _expm_band(amps, k, c)))
+        return calls[-1][3]
+
+    monkeypatch.setattr("contractive.states._expm_band", recording_kernel)
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        alpha = complex(*rng.uniform(-1.4, 1.4, 2))
+        params = SqueezeParams(r=rng.uniform(0.0, 1.0),
+                               theta=rng.uniform(0.0, 2.0 * math.pi))
+        calls.clear()
+        make_scs(alpha, params, dim=256)
+        assert [call[1] for call in calls] == [2, 1]
+        for amps, k, c, got in calls:
+            want = expm_band_chebyshev_reference(amps, k, c)
+            assert got.tobytes() == want.tobytes(), (alpha, params, k)
+
+
 def _rho_for_terms(terms: int) -> float:
     """A 1-norm inside the range where the series runs `terms` terms past
     u_1; that count grows with rho one term at a time."""

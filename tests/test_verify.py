@@ -18,6 +18,7 @@ from scipy.sparse.linalg import expm_multiply
 from contractive import (
     InvalidDimensionError,
     InvalidParameterError,
+    OutOfRangeError,
     SeedConditionError,
     SqueezeParams,
     TruncationError,
@@ -414,6 +415,31 @@ def test_overcompleteness_probe_wider_than_the_seed(probe_dim, r):
     assert report.max_abs_deviation < 5e-4
 
 
+@pytest.mark.parametrize("phi, r", [
+    (number_state(0, 16), 0.975),
+    (number_state(0, 16), 1.5),
+    (lattice_phi([1.0] * 2).state, 0.9),
+    (lattice_phi([1.0] * 4).state, 0.8),
+    (lattice_phi([1.0] * 8).state, 0.6),
+], ids=["vacuum-0.975", "vacuum-1.5", "2-shell-0.9", "4-shell-0.8", "8-shell-0.6"])
+def test_overcompleteness_family_builds_wherever_the_builders_do(phi, r):
+    # chi does not resolve at the start cutoff past vacuum r 0.975 (2-shell
+    # 0.751, 4-shell 0.523, 8-shell 0.276 at theta 1.1), so it doubles the
+    # cutoff as the builders do instead of raising TruncationError
+    report = check_overcompleteness(phi, SqueezeParams(r=r, theta=1.1),
+                                    budget=20_000, method="grid")
+    assert report.probe_dim == 6
+    assert report.max_abs_deviation < 1e-3
+
+
+def test_overcompleteness_family_past_the_auto_range_is_out_of_range():
+    # as for make_scs, a squeeze no automatic cutoff holds is refused by its
+    # mean before any exponential runs
+    with pytest.raises(OutOfRangeError):
+        check_overcompleteness(number_state(0, 16), SqueezeParams(r=20.0),
+                               budget=20_000, method="grid")
+
+
 def test_overcompleteness_default_radius_bounds_excluded_mass():
     # with the adaptive radius the grid answer lands within the mass budget
     # (a tenth of the deviation target) rather than at rounding level
@@ -609,6 +635,10 @@ def test_monte_carlo_memory_does_not_grow_with_the_budget():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4e6, peaks
+    # the pass's conjugate block reuses the workspace's first real planes:
+    # the 20k call traces 9.14 MiB, where a (probe_dim, 20k) conjugate
+    # block of its own took 1.83 MiB more
+    assert peaks[0] < 9.6 * 2**20, peaks
 
 
 def _same_output_across_blas_thread_counts(script, lines):
