@@ -165,10 +165,11 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
     rows is full, the rows are weighted by their 2 J_j in one multiply, and
     one add.reduce over the out row and the block adds them to the sum in
     the order ((out + t_a) + t_{a+1}) + ..., the order of a sum term by
-    term. The weights are a complex column made once per call: a complex
-    row times a float weight runs numpy's complex multiply on the weight
-    cast to complex, so the products keep their bits. Every value is the
-    one the term-by-term loop makes, so the result is bit-identical to it
+    term, starting from -0.0 as the pad does (a +0.0 start turns a -0.0 sum
+    into +0.0). The weights are a complex column made once per call: a complex
+    row times a float weight runs numpy's complex multiply on the weight cast
+    to complex, so the products keep their bits. Every value is the one the
+    term-by-term loop makes, so the result is bit-identical to it
     (tests/conftest.py keeps that loop as expm_band_chebyshev_reference).
     Rows too large for a useful ring (see _block_terms) run that loop
     itself, in a loop of its own that returns before the ring's.
@@ -243,7 +244,7 @@ def _expm_band(amps: np.ndarray, k: int, c: complex) -> np.ndarray:
         ring[0] = out
         rows = ring[1:n + 1]
         multiply(rows, weights[start:start + n], rows)
-        add.reduce(ring[:n + 1], axis=0, out=out)
+        add.reduce(ring[:n + 1], axis=0, out=out, initial=complex(-0.0, -0.0))
     return out
 
 

@@ -30,9 +30,9 @@ R_{k+1} = ((2k + 1 + d - y) R_k - sqrt(k (k + d)) R_{k-1})
 same steps as one restarted at order 0.
 
 The element loop runs chi's support levels m outer and probe rows j inner,
-so each row still sums its terms in ascending m. `displaced_block` works
-through the samples in column passes of _SUBCHUNK. Each pass takes the unit
-phasor u of its samples once (phase 1 at alpha = 0); each level forms
+so each row still sums its terms in ascending m. `_displace_columns` works
+on one column pass of at most _SUBCHUNK samples. It takes the unit phasor u
+of its samples once (phase 1 at alpha = 0); each level forms
 chi_m conj(u)^m once, as contiguous real and imaginary planes, with the
 powers made by one multiplication per level; each element adds s R times
 each plane into its row's real and imaginary accumulators, so an element
@@ -83,8 +83,7 @@ bounds it at 1e-13.
 chi = S(xi)|phi> and its disk radius depend only on the seed, (r, theta)
 and probe_dim, so `_probe_family` keeps the last eight families, keyed on
 the bytes of the seed's amplitudes and of (r, theta) (0.0 and -0.0 compare
-equal but are different inputs). The radius is searched on first use, so a
-caller's radius skips the search.
+equal but are different inputs).
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -105,6 +104,7 @@ import numpy as np
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
+    OutOfRangeError,
     require_complex,
     require_int,
     require_real,
@@ -132,11 +132,11 @@ IDENTITY_TOL = 1e-8
 # Band-violation slack for rigorous-bound sweeps.
 BAND_SLACK = 1e-9
 
-# Samples per pass of displaced_block and of the Monte Carlo gram. Columns
-# are independent, so the split changes no amplitude bits, and it sizes the
-# workspace (wider passes raised peak memory and ran no faster). The Monte
-# Carlo gram is summed pass by pass, so the pass width also sets the gram's
-# summation order: another width moves the deviation's trailing digits.
+# Samples per pass of the Monte Carlo gram. Columns are independent, so the
+# split changes no amplitude bits, and it sizes the workspace (wider passes
+# raised peak memory and ran no faster). The gram is summed pass by pass, so
+# the pass width also sets its summation order: another width moves the
+# deviation's trailing digits.
 _SUBCHUNK = 20_000
 
 # Monte Carlo samples drawn at once, all radii and then all angles; the
@@ -533,25 +533,6 @@ def _displace_columns(chi: np.ndarray, alphas: np.ndarray, out: np.ndarray,
         power, spare = np.multiply(power, unit, out=spare), power
 
 
-def displaced_block(chi: np.ndarray, alphas: np.ndarray, probe_dim: int) -> np.ndarray:
-    """Amplitudes <j|D(alpha)|chi> for j < probe_dim over a batch of alphas.
-
-    Exact in the infinite-dimensional sense: only chi's own truncation
-    enters. Returns an array of shape (probe_dim, len(alphas)).
-    """
-    chi = np.asarray(chi, dtype=complex)
-    alphas = np.asarray(alphas, dtype=complex)
-    out = np.zeros((probe_dim, alphas.size), dtype=complex)
-    schedule = _schedule(chi, probe_dim)
-    space = _Workspace(min(_SUBCHUNK, alphas.size),
-                       _column_planes(probe_dim, schedule), 5)
-    for start in range(0, alphas.size, _SUBCHUNK):
-        cols = slice(start, start + _SUBCHUNK)
-        space.start(alphas[cols].size)
-        _displace_columns(chi, alphas[cols], out[:, cols], schedule, space)
-    return out
-
-
 def _seed_to_chi(phi: FockVector, params: SqueezeParams, dim: int) -> FockVector:
     return squeeze(phi.normalized().padded(dim), params)
 
@@ -601,39 +582,29 @@ def choose_radius(chi: np.ndarray, probe_dim: int,
     return float(rho[good[0]])
 
 
-class _ProbeFamily:
-    """chi = S(xi)|phi> at the first cutoff from max(64, 4 probe_dim,
-    2 phi.dim) on, doubling as the builders do, at which it resolves, and
-    its disk radius, searched on first use."""
-
-    def __init__(self, phi: FockVector, params: SqueezeParams, probe_dim: int):
-        self.chi = _auto_build(lambda dim: _seed_to_chi(phi, params, dim),
-                               max(64, 4 * probe_dim, 2 * phi.dim), params.r, 0j)
-        self.probe_dim = probe_dim
-        self.r = params.r
-
-    @functools.cached_property
-    def radius(self) -> float:
-        # Tightest disk whose excluded probe-block mass stays below a tenth
-        # of the deviation target; the closed formula is the safety cap.
-        cap = radius_cap(self.probe_dim, index_sums(self.chi.amps)[2], self.r)
-        return choose_radius(self.chi.amps, self.probe_dim,
-                             0.1 * OVERCOMPLETENESS_TARGET, cap)
-
-
 @functools.lru_cache(maxsize=8)
-def _probe_family(seed: bytes, squeeze_params: bytes, probe_dim: int) -> _ProbeFamily:
-    """The family of a seed's complex amplitudes and of (r, theta), each
+def _probe_family(seed: bytes, squeeze_params: bytes,
+                  probe_dim: int) -> tuple[FockVector, float]:
+    """(chi, radius) for a seed's complex amplitudes and (r, theta), each
     given as its float64 bytes: 0.0 and -0.0 compare equal but are different
-    inputs, and so are different keys."""
+    inputs, and so are different keys.
+
+    chi = S(xi)|phi> at the first cutoff from max(64, 4 probe_dim,
+    2 phi.dim) on, doubling as the builders do, at which it resolves. The
+    radius is the tightest disk whose excluded probe-block mass stays below
+    a tenth of the deviation target; the closed formula is the safety cap.
+    """
     r, theta = np.frombuffer(squeeze_params).tolist()
     phi = FockVector(np.frombuffer(seed, dtype=complex))
-    return _ProbeFamily(phi, SqueezeParams(r=r, theta=theta), probe_dim)
-
-
-def _family_of(phi: FockVector, params: SqueezeParams, probe_dim: int) -> _ProbeFamily:
-    return _probe_family(phi.amps.tobytes(),
-                         np.array([params.r, params.theta]).tobytes(), probe_dim)
+    params = SqueezeParams(r=r, theta=theta)
+    try:
+        chi = _auto_build(lambda dim: _seed_to_chi(phi, params, dim),
+                          max(64, 4 * probe_dim, 2 * phi.dim), r, 0j)
+    except OutOfRangeError:
+        raise OutOfRangeError(f"no automatic cutoff holds the probe family at "
+                              f"r = {r}, probe_dim = {probe_dim}; lower r") from None
+    cap = radius_cap(probe_dim, index_sums(chi.amps)[2], r)
+    return chi, choose_radius(chi.amps, probe_dim, 0.1 * OVERCOMPLETENESS_TARGET, cap)
 
 
 @functools.lru_cache(maxsize=8)
@@ -716,9 +687,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
                            probe_dim: int = 6,
                            budget: int = OVERCOMPLETENESS_BUDGET,
                            method: str = "monte-carlo",
-                           seed: int = 0,
-                           radius: float | None = None
-                           ) -> OvercompletenessReport:
+                           seed: int = 0) -> OvercompletenessReport:
     """Estimate || (1/pi) integral d^2alpha |psi_alpha><psi_alpha| - 1 || on
     the probe block, for psi_alpha = D(alpha) S(xi) |phi>.
 
@@ -733,7 +702,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     the first of max(64, 4 probe_dim, 2 phi.dim) and its doublings at which
     it resolves, as the builders choose their cutoff (OutOfRangeError past
     AUTO_DIM_MAX); it and the disk radius are kept for the last eight
-    families, and a given radius skips the search.
+    families.
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -741,10 +710,6 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     budget = require_int(budget, "budget", InvalidParameterError, minimum=1)
     if method == "monte-carlo":
         seed = require_int(seed, "seed", InvalidParameterError, minimum=0)
-    if radius is not None:
-        radius = require_real(radius, "radius", InvalidParameterError)
-        if radius <= 0.0:
-            raise InvalidParameterError(f"radius must be > 0, got {radius}")
     require_seed(phi)
     if probe_dim == 0:
         # empty probe block: nothing to integrate, identically satisfied
@@ -753,10 +718,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
             budget=0, seed=seed if method == "monte-carlo" else None,
             radius=0.0, grid_spec=None,
         )
-    family = _family_of(phi, params, probe_dim)
-    chi = family.chi
-    if radius is None:
-        radius = family.radius
+    chi, radius = _probe_family(phi.amps.tobytes(),
+                                np.array([params.r, params.theta]).tobytes(), probe_dim)
 
     if method == "monte-carlo":
         gram = _monte_carlo_gram(chi.amps, radius, probe_dim, budget, seed)
@@ -774,7 +737,7 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         method=method,
         budget=budget,
         seed=seed,
-        radius=float(radius),
+        radius=radius,
         grid_spec=grid_spec,
     )
 

@@ -140,8 +140,6 @@ ROWS = [
     (check_overcompleteness, ("probe_dim",), _OVERCOMPLETE, NONNEG_INT),
     (check_overcompleteness, ("budget",), _OVERCOMPLETE, NONNEG_INT),
     (check_overcompleteness, ("seed",), _OVERCOMPLETE, NONNEG_INT),
-    (check_overcompleteness, ("radius",), dict(_OVERCOMPLETE, radius=3.0),
-     optional(NONNEG_REAL)),
     (check_overcompleteness, ("method",), _OVERCOMPLETE, NAME),
     (run_suite, ("name",), dict(name="uncertainty", budget=5, seed=0), NAME),
     (run_suite, ("budget",), dict(name="uncertainty", budget=5, seed=0), NONNEG_INT),

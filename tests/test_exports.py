@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -23,6 +24,7 @@ REMOVED = ["Operators", "build_operators", "expect", "expect_hermitian",
 # FockVector.padded embeds a seed at a larger cutoff.
 REMOVED_PARAMETERS = [("lattice_phi", "dim"), ("lattice_phi_for_nbar", "dim"),
                       ("check_overcompleteness", "dim"),
+                      ("check_overcompleteness", "radius"),
                       ("check_conjugation_identities", "block")]
 
 
@@ -65,3 +67,25 @@ def test_submodule_resolves_without_prior_import():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_definition_is_exported_or_used():
+    # a top-level function or class that is neither exported nor named by
+    # any code in the package is dead; module hooks (__getattr__) are exempt
+    package = Path(contractive.__file__).resolve().parent
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in contractive.__all__
+            and not name.startswith("__")]
+    assert dead == []

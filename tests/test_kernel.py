@@ -432,6 +432,25 @@ def test_kernel_bit_identical_at_block_boundaries(shape):
             assert got.tobytes() == want.tobytes(), (k, terms)
 
 
+def test_kernel_keeps_negative_zero_sums():
+    # vectors of signed zeros, half with three small top entries: some
+    # entries sum to -0.0 exactly, which a block sum started from +0.0 turns
+    # into +0.0 (cases 19, 73 and 508 did) where the term-by-term loop keeps it
+    rng = np.random.default_rng(0)
+    for case in range(600):
+        dim = int(rng.integers(64, 301))
+        k = int(rng.integers(1, 3))
+        parts = np.where(rng.integers(0, 2, (dim, 2)) == 1, -0.0, 0.0)
+        amps = parts.view(complex).reshape(dim)
+        if case % 2 == 0:
+            amps[-3:] = rng.uniform(0.004, 0.02, 3) * np.exp(2j * np.pi * rng.random(3))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        c *= rng.uniform(0.1, 1.0)
+        got = _expm_band(amps, k, c)
+        want = expm_band_chebyshev_reference(amps, k, c)
+        assert got.tobytes() == want.tobytes(), (case, dim, k)
+
+
 @given(x=st.floats(1e-300, 5000.0))
 @example(x=5e-324)
 @example(x=1.0)

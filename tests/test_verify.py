@@ -36,16 +36,17 @@ from contractive import (
 )
 from contractive.verify import (
     _SUBCHUNK,
+    _Workspace,
+    _column_planes,
     _displace_columns,
-    _family_of,
     _grid_gram,
     _legendre,
     _monte_carlo_gram,
     _probe_family,
     _radial_marginal,
+    _schedule,
     _seed_to_chi,
     choose_radius,
-    displaced_block,
     radius_cap,
 )
 
@@ -183,6 +184,30 @@ def test_audit_extremal_rejects_generic_states():
     audit = audit_extremal(sgcs)
     # n_bar > 0 seeds sit strictly above the saturating family
     assert audit.residual > 0.1
+
+
+def displaced_block(chi, alphas, probe_dim):
+    """<j|D(alpha)|chi> for j < probe_dim over a batch of alphas, shape
+    (probe_dim, len(alphas)): `_displace_columns` over _SUBCHUNK column
+    passes from one workspace, the passes the Monte Carlo gram runs."""
+    chi = np.asarray(chi, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    out = np.zeros((probe_dim, alphas.size), dtype=complex)
+    schedule = _schedule(chi, probe_dim)
+    space = _Workspace(min(_SUBCHUNK, alphas.size),
+                       _column_planes(probe_dim, schedule), 5)
+    for start in range(0, alphas.size, _SUBCHUNK):
+        cols = slice(start, start + _SUBCHUNK)
+        space.start(alphas[cols].size)
+        _displace_columns(chi, alphas[cols], out[:, cols], schedule, space)
+    return out
+
+
+def _family(phi, params, probe_dim):
+    """(chi, radius) from the probe-family memo, keyed as
+    check_overcompleteness keys it."""
+    return _probe_family(phi.amps.tobytes(),
+                         np.array([params.r, params.theta]).tobytes(), probe_dim)
 
 
 def test_displaced_block_matches_operator_exponential():
@@ -391,17 +416,12 @@ def test_choose_radius_tighter_than_cap():
     assert looser <= radius
 
 
-def test_overcompleteness_grid_near_exact():
-    # generous explicit radius: the grid rule is then exact to rounding and
-    # only the excluded tail mass (here ~e^{-R^2}) limits the deviation
-    report = check_overcompleteness(
-        number_state(0, 8), SqueezeParams(r=0.0), probe_dim=8,
-        budget=40_000, method="grid", radius=8.0,
-    )
-    assert report.max_abs_deviation < 1e-9
-    assert report.method == "grid"
-    assert report.grid_spec is not None
-    assert report.seed is None
+def test_grid_gram_near_exact_at_a_generous_radius():
+    # the grid rule is exact to rounding, so at radius 8 only the excluded
+    # tail mass (here ~e^{-R^2}) limits the deviation
+    chi = _seed_to_chi(number_state(0, 8), SqueezeParams(r=0.0), 64).amps
+    gram, _, _ = _grid_gram(chi, 8.0, 8, 40_000)
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3])
@@ -435,7 +455,7 @@ def test_overcompleteness_family_builds_wherever_the_builders_do(phi, r):
 def test_overcompleteness_family_past_the_auto_range_is_out_of_range():
     # as for make_scs, a squeeze no automatic cutoff holds is refused by its
     # mean before any exponential runs
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match=r"at r = 20\.0, probe_dim = 6; lower r$"):
         check_overcompleteness(number_state(0, 16), SqueezeParams(r=20.0),
                                budget=20_000, method="grid")
 
@@ -448,17 +468,25 @@ def test_overcompleteness_default_radius_bounds_excluded_mass():
         budget=40_000, method="grid",
     )
     assert report.max_abs_deviation < 5e-4
+    assert report.method == "grid"
+    assert report.grid_spec is not None
+    assert report.seed is None
 
 
 def _assert_grid_gram_matches_points(phi, params, probe_dim, budget, radius=None):
-    family = _family_of(phi, params, probe_dim)
-    radius = family.radius if radius is None else radius
-    gram, n_rad, n_ang = _grid_gram(family.chi.amps, radius, probe_dim, budget)
-    points = grid_gram_points(family.chi.amps, radius, probe_dim, budget)
+    """The gram against the point grid at radius, or at the searched radius
+    when radius is None; only a searched radius is a report's."""
+    chi, searched = _family(phi, params, probe_dim)
+    at = searched if radius is None else radius
+    gram, n_rad, n_ang = _grid_gram(chi.amps, at, probe_dim, budget)
+    points = grid_gram_points(chi.amps, at, probe_dim, budget)
     assert gram.shape == points.shape == (probe_dim, probe_dim)
     assert np.max(np.abs(gram - points)) <= 1e-13
+    if radius is not None:
+        return
     report = check_overcompleteness(phi, params, probe_dim=probe_dim, budget=budget,
-                                    method="grid", radius=radius)
+                                    method="grid")
+    assert report.radius == searched
     assert report.grid_spec == f"{n_rad}x{n_ang}" and report.budget == n_rad * n_ang
     assert report.max_abs_deviation == float(np.max(np.abs(gram - np.eye(probe_dim))))
 
@@ -494,19 +522,27 @@ def test_grid_gram_matches_retired_point_grid_on_lattices(r, theta, weights, pro
 
 
 @pytest.mark.parametrize("method", ["monte-carlo", "grid"])
-def test_overcompleteness_same_bits_from_cold_and_warm_memo(method):
+def test_overcompleteness_same_bits_from_cold_and_warm_memo(method, monkeypatch):
     args = (lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3))
     kwargs = dict(probe_dim=6, budget=5_000, method=method, seed=4)
     grid = method == "grid"   # only the grid reads Gauss-Legendre nodes
+    searches = []
+
+    def counting_search(*search_args):
+        searches.append(search_args)
+        return choose_radius(*search_args)
+
+    monkeypatch.setattr("contractive.verify.choose_radius", counting_search)
     _probe_family.cache_clear()
     _legendre.cache_clear()
     cold = check_overcompleteness(*args, **kwargs)
-    assert _probe_family.cache_info().misses == 1
+    assert _probe_family.cache_info().misses == 1 and len(searches) == 1
     assert _legendre.cache_info().misses == grid
     warm = check_overcompleteness(*args, **kwargs)
-    assert _probe_family.cache_info().hits == 1
+    assert _probe_family.cache_info().hits == 1 and len(searches) == 1
     assert _legendre.cache_info().hits == grid
     assert warm == cold
+    monkeypatch.undo()
     _probe_family.cache_clear()
     _legendre.cache_clear()
     assert check_overcompleteness(*args, **kwargs) == cold
@@ -525,26 +561,6 @@ def test_legendre_memo_is_leggauss_read_only(n_rad):
             array[0] = 0.0
 
 
-def test_overcompleteness_given_radius_skips_the_disk_search(monkeypatch):
-    phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
-    kwargs = dict(probe_dim=6, budget=1_000)
-    searched = check_overcompleteness(phi, params, **kwargs)
-    assert searched.radius != 3.0
-
-    def no_search(*args):
-        raise AssertionError("choose_radius ran")
-
-    monkeypatch.setattr("contractive.verify.choose_radius", no_search)
-    _probe_family.cache_clear()
-    for method in ("monte-carlo", "grid"):
-        report = check_overcompleteness(phi, params, method=method, radius=3.0, **kwargs)
-        assert report.radius == 3.0
-    monkeypatch.undo()
-    # a given radius also overrides the one a warm memo holds
-    assert check_overcompleteness(phi, params, **kwargs).radius == searched.radius
-    assert check_overcompleteness(phi, params, radius=3.0, **kwargs).radius == 3.0
-
-
 @pytest.mark.parametrize("first, second", [
     # two seeds of one dim
     ((lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)),
@@ -555,17 +571,17 @@ def test_overcompleteness_given_radius_skips_the_disk_search(monkeypatch):
 ], ids=["seeds", "signed-zero-theta"])
 def test_probe_family_memo_keeps_families_apart(first, second):
     _probe_family.cache_clear()
-    a = _family_of(*first, 6)
-    b = _family_of(*second, 6)
+    a = _family(*first, 6)
+    b = _family(*second, 6)
     assert a is not b
     assert _probe_family.cache_info().currsize == 2
-    assert _family_of(*first, 6) is a and _family_of(*second, 6) is b
-    assert np.array_equal(a.chi.amps, _seed_to_chi(*first, 64).amps)
-    assert np.array_equal(b.chi.amps, _seed_to_chi(*second, 64).amps)
+    assert _family(*first, 6) is a and _family(*second, 6) is b
+    assert np.array_equal(a[0].amps, _seed_to_chi(*first, 64).amps)
+    assert np.array_equal(b[0].amps, _seed_to_chi(*second, 64).amps)
 
 
 def test_probe_family_chi_is_read_only():
-    chi = _family_of(number_state(0, 16), SqueezeParams(r=0.3), 6).chi
+    chi, _ = _family(number_state(0, 16), SqueezeParams(r=0.3), 6)
     assert not chi.amps.flags.writeable
     with pytest.raises(ValueError):
         chi.amps[0] = 0.0
@@ -597,8 +613,8 @@ def test_streamed_gram_matches_whole_chunk_gram(budget, monkeypatch):
     # its sums: per pass by einsum against per draw chunk by BLAS; 200,001
     # crosses the draw chunk
     phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
-    family = _family_of(phi, params, 6)
-    chi, radius = family.chi.amps, family.radius
+    chi, radius = _family(phi, params, 6)
+    chi = chi.amps
     want, want_samples = _retired_monte_carlo_gram(chi, radius, 6, budget, 7)
     samples, grams = [], []
 
@@ -772,30 +788,8 @@ def test_overcompleteness_accepts_numpy_integers():
     want = check_overcompleteness(phi, params, probe_dim=3, budget=200, seed=4)
     assert report == want
     assert type(report.probe_dim) is int and type(report.seed) is int
+    assert type(report.radius) is float
     json.dumps(report.to_json_dict())
-
-
-@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -3.0])
-def test_overcompleteness_rejects_bad_radius(radius):
-    with pytest.raises(InvalidParameterError):
-        check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
-                               probe_dim=4, budget=100, radius=radius)
-
-
-@pytest.mark.parametrize("radius", [True, "3", 2j])
-def test_overcompleteness_rejects_non_real_radius(radius):
-    # these used to run as a disk of radius 1.0 (True) or raise a raw TypeError
-    with pytest.raises(InvalidParameterError):
-        check_overcompleteness(number_state(0, 16), SqueezeParams(r=0.0),
-                               probe_dim=2, budget=100, radius=radius)
-
-
-def test_overcompleteness_accepts_numpy_radius():
-    phi, params = number_state(0, 16), SqueezeParams(r=0.0)
-    report = check_overcompleteness(phi, params, probe_dim=2, budget=100,
-                                    radius=np.float32(3.0))
-    want = check_overcompleteness(phi, params, probe_dim=2, budget=100, radius=3.0)
-    assert report == want and type(report.radius) is float
 
 
 def test_overcompleteness_rejects_non_seed():
