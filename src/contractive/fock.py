@@ -30,6 +30,7 @@ from .errors import (
     TruncationError,
     UsageError,
     require_int,
+    require_real_array,
 )
 
 # Default threshold on the probability weight sitting in the top decile of
@@ -109,14 +110,14 @@ class FockVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockVector":
         try:
-            dim = data["dim"]
-            re = np.asarray(data["re"], dtype=float)
-            im = np.asarray(data["im"], dtype=float)
+            dim, re, im = data["dim"], data["re"], data["im"]
         except KeyError as exc:
             raise InvalidSpecError(f"state file lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise InvalidSpecError(f"malformed state file: {exc}") from None
         dim = require_int(dim, "state file dim", InvalidSpecError)
+        re = np.atleast_1d(require_real_array(re, "state file re", InvalidSpecError))
+        im = np.atleast_1d(require_real_array(im, "state file im", InvalidSpecError))
         if re.size != dim or im.size != dim:
             raise DimensionMismatchError(
                 f"array lengths {re.size}/{im.size} do not match dim {dim}"

@@ -79,7 +79,9 @@ class PhiSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhiSpec":
         try:
-            free = tuple(complex(re, im) for re, im in data["free"])
+            free = tuple(complex(require_real(re, "band spec free entry", InvalidSpecError),
+                                 require_real(im, "band spec free entry", InvalidSpecError))
+                         for re, im in data["free"])
             n, N = data["n"], data["N"]
         except KeyError as exc:
             raise InvalidSpecError(f"band spec lacks key {exc}") from None

@@ -3,8 +3,8 @@ callables rejects malformed and non-finite values with a one-line
 ContractiveError, never a raw Python error or a numpy warning.
 
 Each row is (callable, argument, valid keyword arguments, bad values). The
-argument is a keyword, or a keyword plus an index or key when the value sits
-inside a sequence or a JSON dict. Every bad value is substituted into the
+argument is a keyword, or a keyword plus the indices and keys that lead to
+the value when it sits inside sequences or JSON dicts. Every bad value is substituted into the
 valid call in turn. Object-typed arguments (state, params, rng, summary)
 stay out: a wrong object type raising AttributeError is ordinary Python.
 
@@ -86,6 +86,8 @@ ROWS = [
     (number_state, ("dim",), dict(n=0, dim=16), NONNEG_INT),
     (random_state, ("dim",), dict(dim=16, rng=np.random.default_rng(0)), NONNEG_INT),
     (FockVector.from_json_dict, ("data", "dim"), dict(data=_STATE_JSON), NONNEG_INT),
+    (FockVector.from_json_dict, ("data", "re", 0), dict(data=_STATE_JSON), REAL),
+    (FockVector.from_json_dict, ("data", "im", 0), dict(data=_STATE_JSON), REAL),
     (STATE.padded, ("dim",), dict(dim=32), NONNEG_INT),
     (PhiSpec, ("n",), dict(n=0, N=3, free=(1.0, 0.5)), NONNEG_INT),
     (PhiSpec, ("N",), dict(n=0, N=3, free=(1.0, 0.5)), NONNEG_INT),
@@ -94,6 +96,8 @@ ROWS = [
     (PhiSpec, ("free", 1), dict(n=0, N=3, free=(1.0, 0.5)), COMPLEX),
     (PhiSpec.from_json_dict, ("data", "n"), dict(data=_SPEC_JSON), NONNEG_INT),
     (PhiSpec.from_json_dict, ("data", "N"), dict(data=_SPEC_JSON), NONNEG_INT),
+    (PhiSpec.from_json_dict, ("data", "free", 0, 0), dict(data=_SPEC_JSON), REAL),
+    (PhiSpec.from_json_dict, ("data", "free", 0, 1), dict(data=_SPEC_JSON), REAL),
     (solve_phi, ("dim",), dict(spec=SPEC, dim=8), optional(NONNEG_INT)),
     (lattice_phi, ("weights",), dict(weights=[1.0, 0.5]), SEQUENCE + (-1, 2.5)),
     (lattice_phi, ("weights", 0), dict(weights=[1.0, 0.5]), NONNEG_REAL),
@@ -151,18 +155,14 @@ def _row_id(fn, path) -> str:
     return getattr(fn, "__qualname__", repr(fn)) + "-" + ".".join(map(str, path))
 
 
-def _substituted(kwargs: dict, path: tuple, value) -> dict:
-    """kwargs with the argument at path replaced by value; containers on the
-    path are copied, never mutated."""
-    kwargs = dict(kwargs)
-    name, *inner = path
-    if inner:
-        container = kwargs[name]
-        container = dict(container) if isinstance(container, dict) else list(container)
-        container[inner[0]] = value
-        value = container
-    kwargs[name] = value
-    return kwargs
+def _substituted(container, path: tuple, value):
+    """container (the kwargs, or a sequence or dict inside them) with the
+    entry at path replaced by value; containers on the path are copied, never
+    mutated."""
+    container = dict(container) if isinstance(container, dict) else list(container)
+    head, *inner = path
+    container[head] = _substituted(container[head], inner, value) if inner else value
+    return container
 
 
 @pytest.mark.parametrize(
