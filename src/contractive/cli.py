@@ -302,6 +302,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             nbar = require_real(nbar, "--nbar", InvalidParameterError)
             shells = max(1, int(np.ceil(nbar / 3.0)))
+            _require_lattice_fits(3 * shells, config.dim)
             seed = gcs.lattice_phi_for_nbar(nbar, shells).state
             state = states.make_sgcs(alpha, params, seed, dim=config.dim)
         summary = moments.summarize(state)
@@ -369,13 +370,19 @@ def _build_scs(args: argparse.Namespace, dim: int) -> FockVector:
     return make_scs(args.alpha, _squeeze_params(args), dim=dim)
 
 
+def _require_lattice_fits(top: int, dim: int) -> None:
+    """Refuse a lattice seed whose top level reaches dim, before it is built
+    at its own size; named like the band seeds' refusal, by the top level."""
+    if top >= dim:
+        raise InvalidSpecError(f"dim {dim} cannot hold a lattice reaching level {top}")
+
+
 def _build_lattice(args: argparse.Namespace, dim: int) -> FockVector:
-    seed = _lattice_from_args(args).state
-    if dim < seed.dim:
-        # named like the band seeds' refusal, by the top level, not the size
-        raise InvalidSpecError(
-            f"dim {dim} cannot hold a lattice reaching level {seed.dim - 1}")
-    return seed.padded(dim)
+    if args.weights is not None:
+        _require_lattice_fits(3 * (len(args.weights) - 1), dim)
+    elif args.target_nbar is not None:
+        _require_lattice_fits(3 * args.shells, dim)
+    return _lattice_from_args(args).state.padded(dim)
 
 
 def _build_extremal(args: argparse.Namespace, dim: int) -> FockVector:

@@ -101,43 +101,71 @@ def _as_times(times) -> np.ndarray:
     return arr
 
 
+def _out_of_float_range(system: str) -> InvalidParameterError:
+    inputs = "omega" if system == "oscillator" else "scales (hbar, mass, omega)"
+    return InvalidParameterError(
+        f"the {system} variance leaves the float range at these times and {inputs}")
+
+
 def evolve_oscillator(summary: MomentSummary, omega: float, times) -> EvolutionTrace:
-    """Analytic variance trajectory for H = hbar omega a^dag a."""
+    """Analytic variance trajectory for H = hbar omega a^dag a.
+
+    InvalidParameterError if a value of the trace is not finite."""
     omega = require_real(omega, "omega", InvalidParameterError)
     if omega <= 0:
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     t = _as_times(times)
-    wt = omega * t
-    c2, s2 = np.cos(wt) ** 2, np.sin(wt) ** 2
-    center = c2 * summary.var_x + s2 * summary.var_p
-    var = center + 0.5 * np.sin(2 * wt) * summary.cov
-    half = 0.5 * np.abs(np.sin(2 * wt)) * math.sqrt(
-        max(4.0 * summary.var_x * summary.var_p - 1.0, 0.0)
-    )
-    return EvolutionTrace(
-        times=t, var_x=var,
-        rql_lower=center - half, rql_upper=center + half,
-        sql=None, system="oscillator",
-    )
+    root = math.sqrt(max(4.0 * summary.var_x * summary.var_p - 1.0, 0.0))
+    if not all(map(math.isfinite, (summary.var_x, summary.var_p, summary.cov, root))):
+        raise _out_of_float_range("oscillator")
+    try:
+        # from finite operands a value leaves the float range only through an
+        # overflow or an invalid operation, which numpy then raises
+        with np.errstate(over="raise", invalid="raise"):
+            wt = omega * t
+            c2, s2 = np.cos(wt) ** 2, np.sin(wt) ** 2
+            sin2 = np.sin(2 * wt)
+            center = c2 * summary.var_x + s2 * summary.var_p
+            var = center + 0.5 * sin2 * summary.cov
+            half = 0.5 * np.abs(sin2) * root
+            return EvolutionTrace(
+                times=t, var_x=var,
+                rql_lower=center - half, rql_upper=center + half,
+                sql=None, system="oscillator",
+            )
+    except FloatingPointError:
+        raise _out_of_float_range("oscillator") from None
 
 
 def evolve_free_mass(summary: MomentSummary, scales: PhysicalScales,
                      times) -> EvolutionTrace:
-    """Analytic variance trajectory of a free mass, in physical units."""
+    """Analytic variance trajectory of a free mass, in physical units.
+
+    InvalidParameterError if a value of the trace is not finite."""
     t = _as_times(times)
     vx = summary.var_x * scales.var_x_scale()
     vp = summary.var_p * scales.var_p_scale()
     cov = summary.cov * scales.cov_scale()
-    tau = t / scales.mass
-    center = vx + tau**2 * vp
-    var = center + tau * cov
-    half = np.abs(tau) * math.sqrt(max(4.0 * vx * vp - scales.hbar**2, 0.0))
-    sql = np.maximum(center, scales.hbar * np.abs(tau))
-    return EvolutionTrace(
-        times=t, var_x=var,
-        rql_lower=center - half, rql_upper=center + half,
-        sql=sql, system="free-mass",
-    )
+    root = math.sqrt(max(4.0 * vx * vp - scales.hbar * scales.hbar, 0.0))
+    if not all(map(math.isfinite, (vx, vp, cov, root))):
+        raise _out_of_float_range("free-mass")
+    try:
+        # from finite operands a value leaves the float range only through an
+        # overflow or an invalid operation, which numpy then raises
+        with np.errstate(over="raise", invalid="raise"):
+            tau = t / scales.mass
+            abs_tau = np.abs(tau)
+            center = vx + tau**2 * vp
+            var = center + tau * cov
+            half = abs_tau * root
+            sql = np.maximum(center, scales.hbar * abs_tau)
+            return EvolutionTrace(
+                times=t, var_x=var,
+                rql_lower=center - half, rql_upper=center + half,
+                sql=sql, system="free-mass",
+            )
+    except FloatingPointError:
+        raise _out_of_float_range("free-mass") from None
 
 
 def rql_band(summary: MomentSummary, system: str, scales: PhysicalScales,

@@ -40,22 +40,25 @@ costs a recurrence step and four real array operations and touches no
 complex data. Each row is finished once, as its complex sum times u^j.
 `_radial_marginal` reads the same chains: its rows are sum_m |chi_m|^2 R^2.
 
-The Monte Carlo gram is streamed. `_monte_carlo_gram` draws rho and the
-angle _DRAW_CHUNK samples at a time, then works one _SUBCHUNK pass at a
-time: alpha, the pass's (probe_dim, n) block, and its contribution
-(R^2 / budget) block conj(block)^T, summed by an einsum that calls no
-BLAS. No block of a whole draw chunk exists, and the gram's bits do not
-depend on the BLAS thread count. Every real and complex plane of a pass,
-the block and its conjugate included, comes from one `_Workspace`
-allocated once per call and carved at 64-byte offsets, so no plane's
-alignment depends on where the heap starts. A radial chain holds two planes
-from its key's first element until `_schedule`'s `last` map retires the
-key, then hands them back. So the real planes number five, two per chain at
-the schedule's high-water mark, four, and two per probe row: 33 for
-criterion 8's family at probe_dim 6. The conjugate block reuses the first
-2 probe_dim of them, which are all free once `_displace_columns` returns.
-With 20k-sample passes at probe_dim 6 the workspace takes 9.1 MB, and a
-200k draw chunk adds 3.2 MB at any budget.
+The Monte Carlo gram samples the whole plane by importance (Owen, Monte
+Carlo theory, methods and examples (2013), ch. 9), so no disk drops probe
+mass and no radius is searched. It is streamed: each _SUBCHUNK pass of
+`_monte_carlo_gram` draws its own samples, then forms alpha, the pass's
+(probe_dim, n) block with each column weighted by 1 / sqrt(1 - U), and its
+contribution (s / budget) block conj(block)^T, summed by an einsum that
+calls no BLAS. So neither the draws nor any block outgrow a pass, and
+the gram's bits do not depend on the BLAS thread count. Every real and
+complex plane of a pass, the draws, the block and its conjugate included,
+comes from one `_Workspace` allocated once per call and carved at 64-byte
+offsets, so no plane's alignment depends on where the heap starts. A radial
+chain holds two planes from its key's first element until `_schedule`'s
+`last` map retires the key, then hands them back. So `_displace_columns`
+holds five real planes, two per chain at the schedule's high-water mark,
+four, and two per probe row: 33 for criterion 8's family at probe_dim 6,
+and the gram one more for the draws U. The conjugate block reuses the
+first 2 probe_dim of them, which are all free once the columns are
+weighted. With 20k-sample passes at probe_dim 6 the workspace takes 9.3 MB
+at any budget.
 
 The kernel must stay bit-identical to the per-pair oracle of this
 arithmetic in tests/conftest.py (`displaced_block_normalized`, which
@@ -80,10 +83,10 @@ which calls no BLAS. It is the point grid's rule evaluated exactly; the
 retired point grid stays in tests/conftest.py (`grid_gram_points`) and
 bounds it at 1e-13.
 
-chi = S(xi)|phi> and its disk radius depend only on the seed, (r, theta)
-and probe_dim, so `_probe_family` keeps the last eight families, keyed on
-the bytes of the seed's amplitudes and of (r, theta) (0.0 and -0.0 compare
-equal but are different inputs).
+chi = S(xi)|phi> and the grid's disk radius depend only on the seed,
+(r, theta) and probe_dim, so `_probe_family` keeps the last eight
+families, keyed on the bytes of the seed's amplitudes and of (r, theta)
+(0.0 and -0.0 compare equal but are different inputs).
 
 `check_conjugation_identities` checks the operator identities on the kernel
 that builds every state, `states._expm_band`, applied to the basis columns of
@@ -132,16 +135,11 @@ IDENTITY_TOL = 1e-8
 # Band-violation slack for rigorous-bound sweeps.
 BAND_SLACK = 1e-9
 
-# Samples per pass of the Monte Carlo gram. Columns are independent, so the
-# split changes no amplitude bits, and it sizes the workspace (wider passes
-# raised peak memory and ran no faster). The gram is summed pass by pass, so
-# the pass width also sets its summation order: another width moves the
-# deviation's trailing digits.
+# Samples per pass of the Monte Carlo gram. It sizes the workspace (wider
+# passes raised peak memory and ran no faster). Each pass draws its own
+# samples and adds its own sum to the gram, so the width sets the samples
+# and the summation order: another width changes the deviation.
 _SUBCHUNK = 20_000
-
-# Monte Carlo samples drawn at once, all radii and then all angles; the
-# draws, and so every sample, depend on it.
-_DRAW_CHUNK = 200_000
 
 # Byte alignment of every workspace plane.
 _ALIGN = 64
@@ -180,7 +178,7 @@ class OvercompletenessReport:
     method: str
     budget: int
     seed: int | None
-    radius: float
+    radius: float | None
     grid_spec: str | None
 
     def to_json_dict(self) -> dict:
@@ -565,9 +563,9 @@ def choose_radius(chi: np.ndarray, probe_dim: int,
                   mass_budget: float, cap: float) -> float:
     """Smallest disk radius whose excluded probe-block mass is below budget.
 
-    Keeping the disk tight matters: the Monte Carlo variance scales with the
-    disk area, so the cap radius (always mass-safe) would waste most of the
-    sample budget on regions where the integrand vanishes.
+    Only the grid method integrates over a disk, and its Gauss-Legendre
+    radii spread over [0, radius]: at the cap radius (always mass-safe) most
+    of them would fall where the integrand vanishes.
     """
     rho = np.linspace(0.0, cap, 2001)
     integrand = 2.0 * rho * _radial_marginal(chi, rho, probe_dim)
@@ -591,8 +589,9 @@ def _probe_family(seed: bytes, squeeze_params: bytes,
 
     chi = S(xi)|phi> at the first cutoff from max(64, 4 probe_dim,
     2 phi.dim) on, doubling as the builders do, at which it resolves. The
-    radius is the tightest disk whose excluded probe-block mass stays below
-    a tenth of the deviation target; the closed formula is the safety cap.
+    radius, read by the grid method alone, is the tightest disk whose
+    excluded probe-block mass stays below a tenth of the deviation target;
+    the closed formula is the safety cap.
     """
     r, theta = np.frombuffer(squeeze_params).tolist()
     phi = FockVector(np.frombuffer(seed, dtype=complex))
@@ -616,47 +615,56 @@ def _legendre(n_rad: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _monte_carlo_gram(chi: np.ndarray, radius: float, probe_dim: int,
-                      budget: int, seed: int) -> np.ndarray:
+def _monte_carlo_gram(chi: np.ndarray, probe_dim: int, budget: int,
+                      seed: int) -> np.ndarray:
     """The probe block of (1/pi) integral d^2alpha |psi_alpha><psi_alpha| as
-    (R^2 / budget) sum_n block[:, n] conj(block[:, n])^T over alpha_n uniform
-    on the disk of radius R, summed one _SUBCHUNK pass at a time (see the
-    module docstring)."""
+    (s / budget) sum_n block[:, n] conj(block[:, n])^T / (1 - U_n), over the
+    whole plane, summed one _SUBCHUNK pass at a time (see the module
+    docstring).
+
+    Each pass draws its n samples: n uniforms U give y = |alpha|^2 =
+    -s log1p(-U), then n more V give the angle 2 pi V. So y is exponential
+    with mean s = 1 + n_bar(chi) + probe_dim, one above the widest probe
+    row's mean |alpha|^2, and alpha has density p = e^(-y/s) / (pi s), whose
+    importance weight (1/pi) / p is s e^(y/s) = s / (1 - U).
+    """
     rng = np.random.default_rng(seed)
+    scale = 1.0 + index_sums(chi)[2] + probe_dim
     schedule = _schedule(chi, probe_dim)
-    # alpha and the five complex planes of _displace_columns, then the
-    # pass's block as probe_dim rows; its conjugate takes the first
-    # 2 probe_dim real planes, all free once _displace_columns returns
-    space = _Workspace(min(_SUBCHUNK, budget), _column_planes(probe_dim, schedule),
+    # U beside the real planes of _displace_columns; alpha and its five
+    # complex planes, then the pass's block as probe_dim rows; its conjugate
+    # takes the first 2 probe_dim real planes, U's among them, all free once
+    # the columns are weighted
+    space = _Workspace(min(_SUBCHUNK, budget), _column_planes(probe_dim, schedule) + 1,
                        6, probe_dim)
     block = space.rows
     block_conj = space._reals[:2 * probe_dim].reshape(probe_dim, -1).view(complex)
     gram = np.zeros((probe_dim, probe_dim), dtype=complex)
-    remaining = budget
-    while remaining > 0:
-        size = min(_DRAW_CHUNK, remaining)
-        remaining -= size
-        # rho = R sqrt(U) and angle = 2 pi U', made in place
-        rho = rng.random(size)
-        np.multiply(radius, np.sqrt(rho, out=rho), out=rho)
-        ang = rng.random(size)
-        np.multiply(2.0 * np.pi, ang, out=ang)
-        for start in range(0, size, _SUBCHUNK):
-            cols = slice(start, start + _SUBCHUNK)
-            n = rho[cols].size
-            space.start(n)
-            # alpha = rho e^{i angle}
-            alphas, phasor = space.complex(), space.complex()
-            np.exp(np.multiply(1j, ang[cols], out=alphas), out=phasor)
-            np.multiply(rho[cols], phasor, out=alphas)
-            space.give(phasor)
-            out = block[:, :n]
-            out.fill(0.0)
-            _displace_columns(chi, alphas, out, schedule, space)
-            # einsum without optimize calls no BLAS, so the sum's bits do not
-            # depend on the thread count
-            out_conj = np.conjugate(out, out=block_conj[:, :n])
-            gram += (radius**2 / budget) * np.einsum("jn,kn->jk", out, out_conj)
+    for start in range(0, budget, _SUBCHUNK):
+        n = min(_SUBCHUNK, budget - start)
+        space.start(n)
+        # alpha = sqrt(-s log1p(-U)) e^{2 pi i V}: V's plane holds the
+        # angle, then, once the phasor is made, rho
+        draws = rng.random(n, out=space.real())
+        rho = rng.random(n, out=space.real())
+        alphas, phasor = space.complex(), space.complex()
+        np.multiply(2.0 * np.pi, rho, out=rho)
+        np.exp(np.multiply(1j, rho, out=alphas), out=phasor)
+        np.log1p(np.negative(draws, out=rho), out=rho)
+        np.sqrt(np.multiply(-scale, rho, out=rho), out=rho)
+        np.multiply(rho, phasor, out=alphas)
+        space.give(phasor)
+        space.give(rho)
+        out = block[:, :n]
+        out.fill(0.0)
+        _displace_columns(chi, alphas, out, schedule, space)
+        # each column times 1 / sqrt(1 - U), so the pair carries s / (1 - U)
+        np.sqrt(np.subtract(1.0, draws, out=draws), out=draws)
+        np.multiply(out, np.divide(1.0, draws, out=draws), out=out)
+        # einsum without optimize calls no BLAS, so the sum's bits do not
+        # depend on the thread count
+        out_conj = np.conjugate(out, out=block_conj[:, :n])
+        gram += (scale / budget) * np.einsum("jn,kn->jk", out, out_conj)
     return gram
 
 
@@ -691,8 +699,11 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     """Estimate || (1/pi) integral d^2alpha |psi_alpha><psi_alpha| - 1 || on
     the probe block, for psi_alpha = D(alpha) S(xi) |phi>.
 
-    Monte Carlo samples alpha uniformly on a disk (importance weight
-    R^2 per sample for the 1/pi measure); the grid method combines
+    Monte Carlo samples alpha over the whole plane, |alpha|^2 exponential
+    with mean s = 1 + n_bar(chi) + probe_dim and the angle uniform
+    (importance weight s e^(|alpha|^2 / s) per sample for the 1/pi
+    measure), so its report has no radius, as the grid's has no seed. The
+    grid method integrates over the disk of the report's radius: it combines
     Gauss-Legendre radial nodes with a uniform angular rule that is exact
     for the finite trigonometric content of the integrand, and sums that
     angular rule in closed form, so it evaluates the matrix elements at the
@@ -701,8 +712,8 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
     achieved deviation is simply reported. psi_0 = S(xi)|phi> is built at
     the first of max(64, 4 probe_dim, 2 phi.dim) and its doublings at which
     it resolves, as the builders choose their cutoff (OutOfRangeError past
-    AUTO_DIM_MAX); it and the disk radius are kept for the last eight
-    families.
+    AUTO_DIM_MAX); it and the grid's disk radius are kept for the last
+    eight families.
     """
     if method not in ("monte-carlo", "grid"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -716,14 +727,14 @@ def check_overcompleteness(phi: FockVector, params: SqueezeParams,
         return OvercompletenessReport(
             probe_dim=0, max_abs_deviation=0.0, method=method,
             budget=0, seed=seed if method == "monte-carlo" else None,
-            radius=0.0, grid_spec=None,
+            radius=None if method == "monte-carlo" else 0.0, grid_spec=None,
         )
     chi, radius = _probe_family(phi.amps.tobytes(),
                                 np.array([params.r, params.theta]).tobytes(), probe_dim)
 
     if method == "monte-carlo":
-        gram = _monte_carlo_gram(chi.amps, radius, probe_dim, budget, seed)
-        grid_spec = None
+        gram = _monte_carlo_gram(chi.amps, probe_dim, budget, seed)
+        radius = grid_spec = None
     else:
         gram, n_rad, n_ang = _grid_gram(chi.amps, radius, probe_dim, budget)
         grid_spec = f"{n_rad}x{n_ang}"
@@ -838,7 +849,6 @@ def suite_overcompleteness(budget: int, seed: int) -> dict:
         "threshold": threshold,
         "budget": budget,
         "seed": seed,
-        "radius": report.radius,
     }
 
 

@@ -7,6 +7,8 @@ never imports the package (test_verify guards it), so a retired kernel kept
 here stays the code it was.
 """
 
+import cmath
+import functools
 import math
 import re
 
@@ -118,15 +120,54 @@ def dense_moments_oracle(amps: np.ndarray):
     return var_x, var_p, cov, n_bar
 
 
+@functools.lru_cache(maxsize=None)
+def _generator_eig(dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, V) of the Hermitian truncated generator, i(a^dag - a) for
+    k = 1 and i(a^2 - a^dag^2) for k = 2, read-only. The tests ask for a
+    handful of dims, 64 to 1024, so the cache stays small."""
+    a = np.linalg.matrix_power(dense_ladder(dim), k)
+    generator = 1j * (a.conj().T - a) if k == 1 else 1j * (a - a.conj().T)
+    evals, evecs = np.linalg.eigh(generator)
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
+
+
+def _rotated_exponential(amps: np.ndarray, k: int, c: float, phi: float) -> np.ndarray:
+    """R V e^{-i c lambda} V^dag R^dag amps, R = e^{i phi n}: the exponential
+    of -i c R H R^dag by the eigenvector method for normal matrices (Moler &
+    Van Loan, SIAM Rev. 45, 3 (2003)), from one cached eigendecomposition of
+    H per (dim, k). amps is a vector or a matrix of columns."""
+    evals, evecs = _generator_eig(amps.shape[0], k)
+    rotation = np.exp(1j * phi * np.arange(amps.shape[0]))
+    rotation = rotation.reshape((-1,) + (1,) * (amps.ndim - 1))
+    phases = np.exp(-1j * c * evals).reshape(rotation.shape)
+    return rotation * (evecs @ (phases * (evecs.conj().T @ (rotation.conj() * amps))))
+
+
 def dense_displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
-    """expm(alpha a^dag - alpha* a) @ amps with dense truncated ladder matrices."""
-    a = dense_ladder(amps.size)
-    return expm(alpha * a.conj().T - np.conjugate(alpha) * a) @ amps
+    """exp(alpha a^dag - alpha* a) @ amps on the truncated space: with
+    alpha = c e^{i phi} the generator is -i c R i(a^dag - a) R^dag."""
+    return _rotated_exponential(amps, 1, abs(alpha), cmath.phase(alpha))
 
 
 def dense_squeeze(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
-    """expm((xi* a^2 - xi a^dag^2)/2) @ amps, xi = r e^{i theta}, dense."""
-    a = dense_ladder(amps.size)
+    """exp((xi* a^2 - xi a^dag^2)/2) @ amps, xi = r e^{i theta}, on the
+    truncated space: the generator is -i (r/2) R i(a^2 - a^dag^2) R^dag with
+    R = e^{i (theta/2) n}."""
+    return _rotated_exponential(amps, 2, 0.5 * r, 0.5 * theta)
+
+
+def dense_displace_expm(amps: np.ndarray, alpha: complex) -> np.ndarray:
+    """expm(alpha a^dag - alpha* a) @ amps by scipy, the eigen-oracle's own
+    reference."""
+    a = dense_ladder(amps.shape[0])
+    return expm(alpha * a.conj().T - np.conjugate(alpha) * a) @ amps
+
+
+def dense_squeeze_expm(amps: np.ndarray, r: float, theta: float) -> np.ndarray:
+    """expm((xi* a^2 - xi a^dag^2)/2) @ amps, xi = r e^{i theta}, by scipy."""
+    a = dense_ladder(amps.shape[0])
     a2 = a @ a
     xi = r * np.exp(1j * theta)
     return expm(0.5 * (np.conjugate(xi) * a2 - xi * a2.conj().T)) @ amps

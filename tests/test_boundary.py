@@ -25,12 +25,14 @@ from contractive import (
     InvalidDimensionError,
     InvalidParameterError,
     InvalidSpecError,
+    MomentSummary,
     OutOfRangeError,
     PhiSpec,
     PhysicalScales,
     SqueezeParams,
     check_conjugation_identities,
     check_overcompleteness,
+    contraction_window,
     displace,
     evolve_free_mass,
     evolve_oscillator,
@@ -264,6 +266,20 @@ OVERFLOWING = [
                  id="cli-coherent-alpha=1e200"),
     pytest.param(["state", "build", "extremal", "--lam", "1e-300+1e10i"], 1,
                  id="cli-extremal-lam=1e-300+1e10i"),
+    # a trajectory value past the float range: from an array operation, or
+    # from a scalar the arrays start from
+    pytest.param(lambda: evolve_oscillator(SUMMARY, 1e308, _TIMES + [1.0]),
+                 InvalidParameterError, id="evolve_oscillator-omega=1e308"),
+    pytest.param(lambda: rql_band(SUMMARY, "free-mass", SCALES, 1e308),
+                 InvalidParameterError, id="rql_band-t=1e308"),
+    pytest.param(lambda: evolve_free_mass(SUMMARY, PhysicalScales(hbar=1e308), _TIMES),
+                 InvalidParameterError, id="evolve_free_mass-hbar=1e308"),
+    pytest.param(lambda: evolve_oscillator(MomentSummary(1e200, 1e200, 0.0, 0.0), 1.0,
+                                           _TIMES),
+                 InvalidParameterError, id="evolve_oscillator-var=1e200"),
+    pytest.param(lambda: contraction_window(summarize(extremal_fock(1 + 1j)),
+                                            PhysicalScales(mass=1e-320)),
+                 InvalidParameterError, id="contraction_window-mass=1e-320"),
 ]
 
 

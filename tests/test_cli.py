@@ -1,8 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +713,53 @@ def test_sweep_non_finite_nbar_usage_error(capsys, value):
     code, out, err = run_cli(capsys, "sweep", "--kind", "sgcs", f"--nbar={value}")
     _assert_usage_error(code, err)
     assert "--nbar" in err and out == ""
+
+
+# Finite inputs whose results leave the float range; STATE stands for a
+# squeezed coherent state file.
+@pytest.mark.parametrize("argv", [
+    ["rql-band", "STATE", "--system", "free-mass", "--time", "1", "--hbar=1e308"],
+    ["sweep", "--kind", "sgcs", "--alpha", "0.5", "--r", "0.2", "--theta", "0",
+     "--nbar=1e308"],
+    ["evolve", "STATE", "--system", "free-mass", "--t-max=1e308"],
+    ["evolve", "STATE", "--system", "free-mass", "--t-max", "1", "--mass=1e-320"],
+    ["evolve", "STATE", "--system", "oscillator", "--t-max", "1", "--omega=1e308"],
+    ["rql-band", "STATE", "--system", "free-mass", "--time=1e308"],
+], ids=["rql-band-hbar", "sweep-nbar", "evolve-t-max", "evolve-mass",
+        "evolve-omega", "rql-band-time"])
+def test_result_past_the_float_range_exits_2(tmp_path, capsys, argv):
+    # an error line and no inf or nan row; pytest turns a RuntimeWarning
+    # into an error, so none is raised either
+    path = tmp_path / "scs.json"
+    contractive.make_scs(0.5, contractive.SqueezeParams(r=0.3), dim=128).dump(path)
+    code, out, err = run_cli(capsys, *[str(path) if a == "STATE" else a for a in argv])
+    _assert_usage_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, level", [
+    (["state", "build", "gcs-lattice", "--target-nbar", "1", "--shells", "100000"],
+     "300000"),
+    (["sweep", "--kind", "sgcs", "--alpha", "0.5", "--nbar", "20", "--dim", "16"], "21"),
+    (["sweep", "--kind", "sgcs", "--alpha", "0.5", "--nbar=1e308"], None),
+], ids=["gcs-lattice-shells", "sweep-nbar-past-dim", "sweep-nbar-1e308"])
+def test_lattice_seed_past_dim_refused_before_it_is_built(capsys, argv, level):
+    # the top level, 3 (len(weights) - 1) or 3 shells, is checked against
+    # --dim before the seed is allocated at its own size; the layers the
+    # commands import are loaded first, so the trace holds only the command
+    for layer in ("gcs", "states"):
+        importlib.import_module(f"contractive.{layer}")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_usage_error(code, err)
+    assert out == "" and "cannot hold a lattice reaching level" in err
+    if level is not None:
+        assert err.rstrip().endswith(f"level {level}")
+    assert peak < 2e6, peak
 
 
 @pytest.mark.parametrize("suite", ["uncertainty", "rql", "saturation", "all"])

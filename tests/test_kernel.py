@@ -44,7 +44,9 @@ from contractive.states import RING_BYTES, _band, _bessel_j, _block_terms, _expm
 from conftest import (
     bessel_j_reference,
     dense_displace,
+    dense_displace_expm,
     dense_squeeze,
+    dense_squeeze_expm,
     expm_band_chebyshev_reference,
     expm_band_taylor_reference,
     expm_multiply_apply,
@@ -102,6 +104,21 @@ def test_squeeze_matches_dense_oracle(dim, seed, r, theta):
                           _narrow_random_state(dim, seed))
 
 
+@pytest.mark.parametrize("dim", [64, 128, 256, 512])
+def test_eigen_oracle_matches_scipy_expm(dim):
+    # the dense oracles' eigendecompositions against scipy's expm, on every
+    # column, at the largest |alpha| and r of the property tests, with phases
+    # whose rotations R are not the identity: e^{2.5 i n} for alpha, and
+    # e^{-i pi n} at the end theta = -2 pi of the squeeze's range
+    columns = np.eye(dim, dtype=complex)
+    alpha = 1.5 * complex(math.cos(2.5), math.sin(2.5))
+    want = dense_displace_expm(columns, alpha)
+    assert np.max(np.abs(dense_displace(columns, alpha) - want)) <= KERNEL_TOL
+    theta = -2.0 * math.pi
+    want = dense_squeeze_expm(columns, 1.0, theta)
+    assert np.max(np.abs(dense_squeeze(columns, 1.0, theta) - want)) <= KERNEL_TOL
+
+
 def test_kernel_at_parameter_extremes():
     # the corners of the property tests' parameter range
     state = _narrow_random_state(256, 7)
@@ -147,8 +164,9 @@ def test_squeeze_matches_retired_kernel(dim, seed, r, theta):
 
 
 def test_squeeze_corner_at_dim_1024_matches_dense_oracle():
-    # the largest generator norm the property tests reach; one dense
-    # exponential at this size takes seconds, so only this corner is checked
+    # the largest generator norm the property tests reach; the oracle's
+    # eigendecomposition at this size takes about a second, so only this
+    # corner is checked
     state = _narrow_random_state(1024, 5)
     got = squeeze(state, SqueezeParams(r=1.0, theta=5.0))
     want = dense_squeeze(state.amps, 1.0, 5.0)

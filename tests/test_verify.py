@@ -34,6 +34,7 @@ from contractive import (
     safe_block,
     squeeze,
 )
+from contractive.fock import index_sums
 from contractive.verify import (
     _SUBCHUNK,
     _Workspace,
@@ -587,59 +588,56 @@ def test_probe_family_chi_is_read_only():
         chi.amps[0] = 0.0
 
 
-def _retired_monte_carlo_gram(chi, radius, probe_dim, budget, seed):
-    """The whole-chunk gram the Monte Carlo method summed before it streamed:
-    the same draws, one displaced_block per 200k chunk and one matrix
-    product per chunk. Returns the gram and the samples."""
+def _monte_carlo_gram_as_documented(chi, probe_dim, budget, seed):
+    """The Monte Carlo gram as its docstring states it, redrawn pass by
+    pass: n uniforms U, then n uniforms V, alpha = sqrt(-s log1p(-U))
+    e^{2 pi i V} with s = 1 + n_bar + probe_dim, each column of the
+    displaced_block harness times 1 / sqrt(1 - U), and (s / budget) times
+    the pass's einsum."""
     rng = np.random.default_rng(seed)
+    scale = 1.0 + index_sums(chi)[2] + probe_dim
     gram = np.zeros((probe_dim, probe_dim), dtype=complex)
-    samples = []
-    remaining = budget
-    while remaining > 0:
-        size = min(200_000, remaining)
-        remaining -= size
-        rho = radius * np.sqrt(rng.random(size))
-        ang = 2.0 * np.pi * rng.random(size)
-        alphas = rho * np.exp(1j * ang)
-        samples.append(alphas)
-        block = displaced_block(chi, alphas, probe_dim)
-        gram += (radius**2 / budget) * (block @ block.conj().T)
-    return gram, np.concatenate(samples)
+    for start in range(0, budget, _SUBCHUNK):
+        n = min(_SUBCHUNK, budget - start)
+        u, v = rng.random(n), rng.random(n)
+        alphas = np.sqrt(-scale * np.log1p(-u)) * np.exp(1j * (2.0 * np.pi * v))
+        block = displaced_block(chi, alphas, probe_dim) * (1.0 / np.sqrt(1.0 - u))
+        gram += (scale / budget) * np.einsum("jn,kn->jk", block, block.conj())
+    return gram
 
 
 @pytest.mark.parametrize("budget", [1, _SUBCHUNK, _SUBCHUNK + 1, 200_001])
-def test_streamed_gram_matches_whole_chunk_gram(budget, monkeypatch):
-    # the same samples, bit for bit, and the same gram up to the order of
-    # its sums: per pass by einsum against per draw chunk by BLAS; 200,001
-    # crosses the draw chunk
+def test_monte_carlo_gram_bit_identical_to_its_documented_draws(budget):
+    # each pass draws its own samples, so 20,001 and 200,001 end in a pass
+    # of one sample
     phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
-    chi, radius = _family(phi, params, 6)
-    chi = chi.amps
-    want, want_samples = _retired_monte_carlo_gram(chi, radius, 6, budget, 7)
-    samples, grams = [], []
-
-    def recording_kernel(chi, alphas, *args):
-        samples.append(alphas.copy())
-        return _displace_columns(chi, alphas, *args)
-
-    def recording_gram(*args):
-        grams.append(_monte_carlo_gram(*args))
-        return grams[-1]
-
-    monkeypatch.setattr("contractive.verify._displace_columns", recording_kernel)
-    monkeypatch.setattr("contractive.verify._monte_carlo_gram", recording_gram)
+    chi = _family(phi, params, 6)[0].amps
+    gram = _monte_carlo_gram(chi, 6, budget, 7)
+    assert np.array_equal(gram, _monte_carlo_gram_as_documented(chi, 6, budget, 7))
     report = check_overcompleteness(phi, params, probe_dim=6, budget=budget, seed=7)
-    monkeypatch.undo()
-    assert np.array_equal(np.concatenate(samples), want_samples)
-    assert np.max(np.abs(grams[0] - want)) <= 1e-13
-    retired = float(np.max(np.abs(want - np.eye(6))))
-    assert abs(report.max_abs_deviation - retired) <= 1e-13
+    assert report.max_abs_deviation == float(np.max(np.abs(gram - np.eye(6))))
+
+
+@pytest.mark.parametrize("budget", [1, _SUBCHUNK, _SUBCHUNK + 1])
+def test_monte_carlo_gram_of_the_vacuum_in_closed_form(budget):
+    # the vacuum at probe_dim 1 has s = 2 and <0|D(alpha)|0> = e^(-y/2) =
+    # 1 - U, so each sample adds (2 / budget) (1 - U)^2 / (1 - U); the
+    # uniforms are redrawn here, U then the angles' V in each pass
+    chi = _family(number_state(0, 16), SqueezeParams(r=0.0), 1)[0].amps
+    rng = np.random.default_rng(11)
+    total = 0.0
+    for start in range(0, budget, _SUBCHUNK):
+        n = min(_SUBCHUNK, budget - start)
+        total += np.sum(1.0 - rng.random(n))
+        rng.random(n)
+    gram = _monte_carlo_gram(chi, 1, budget, 11)
+    assert abs(gram[0, 0] - 2.0 * total / budget) < 1e-14
 
 
 def test_monte_carlo_memory_does_not_grow_with_the_budget():
-    # the gram is streamed pass by pass from one workspace, so ten times the
-    # samples add only the draws of a 200k chunk (3.2 MB); a (probe_dim,
-    # chunk) block and its conjugate took 34 MB more
+    # the gram is streamed pass by pass from one workspace, and each pass
+    # draws its own samples into it, so ten times the samples add nothing; a
+    # (probe_dim, chunk) block and its conjugate took 34 MB more
     phi, params = lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3)
     check_overcompleteness(phi, params, probe_dim=6, budget=1)  # build the family
     peaks = []
@@ -699,7 +697,7 @@ _MONTE_CARLO_REPORT = """
 from contractive import SqueezeParams, check_overcompleteness, lattice_phi
 report = check_overcompleteness(lattice_phi([1.0, 1.0]).state, SqueezeParams(r=0.3),
                                 probe_dim=6, budget=60_000, seed=5)
-print(report.max_abs_deviation.hex(), report.radius.hex())
+print(report.max_abs_deviation.hex(), report.radius)
 """
 
 
@@ -717,7 +715,8 @@ def test_overcompleteness_monte_carlo_smoke():
     assert report.budget == 20_000
     data = report.to_json_dict()
     assert data["probe_dim"] == 6
-    assert data["radius"] > 0
+    # the samples cover the whole plane: no disk, so no radius
+    assert data["radius"] is None
 
 
 def test_overcompleteness_monte_carlo_deterministic():
@@ -788,7 +787,7 @@ def test_overcompleteness_accepts_numpy_integers():
     want = check_overcompleteness(phi, params, probe_dim=3, budget=200, seed=4)
     assert report == want
     assert type(report.probe_dim) is int and type(report.seed) is int
-    assert type(report.radius) is float
+    assert report.radius is None
     json.dumps(report.to_json_dict())
 
 
